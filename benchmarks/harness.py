@@ -32,8 +32,9 @@ def measure_peak_alloc(fn, *args, **kwargs):
     Peak *Python-heap* allocation during the call, via ``tracemalloc`` —
     a deterministic stand-in for peak-RSS deltas, which on a shared
     runner are polluted by allocator reuse and page-cache noise.  Used by
-    the streamed-record flatness assertion (BENCH_pinball) and the
-    peak-alloc column of BENCH_slicequery rows.
+    the streamed-record flatness assertion (BENCH_pinball), the
+    peak-alloc column of BENCH_slicequery rows and the reexec memory bar
+    (BENCH_reexec).  Process RSS is perfbench's ``peak_rss_mb``.
     """
     import gc
     import tracemalloc
@@ -45,51 +46,6 @@ def measure_peak_alloc(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
-
-
-def measure_peak_rss(fn, *args, **kwargs):
-    """Run ``fn`` in a forked child; return its peak-RSS *growth* in bytes.
-
-    ``getrusage(RUSAGE_SELF).ru_maxrss`` is a process-lifetime high-water
-    mark — in a long benchmark process it only remembers the largest
-    phase ever run, not the call at hand.  A forked child gets fresh
-    accounting that starts at the parent's current footprint, so the
-    child-side growth (final ``ru_maxrss`` minus the child's baseline on
-    entry) isolates what ``fn`` itself keeps resident, OS pages included
-    (the complement of :func:`measure_peak_alloc`, which only sees the
-    Python heap).  The child discards ``fn``'s result; only the byte
-    count crosses the pipe.  Falls back to the peak-alloc measurement
-    where fork is unavailable.
-    """
-    import multiprocessing
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:   # pragma: no cover - non-POSIX runner
-        return measure_peak_alloc(fn, *args, **kwargs)[1]
-
-    def _child(conn):
-        import resource
-        base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        fn(*args, **kwargs)
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        conn.send(max(0, peak - base) * 1024)   # ru_maxrss is KiB on Linux
-        conn.close()
-
-    receiver, sender = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_child, args=(sender,))
-    worker.start()
-    sender.close()
-    try:
-        peak = receiver.recv()
-    except EOFError:
-        worker.join()
-        raise RuntimeError(
-            "peak-RSS child exited without reporting (exit code %s)"
-            % worker.exitcode)
-    finally:
-        receiver.close()
-    worker.join()
-    return peak
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from repro.workloads import get_parsec, get_pointer, get_specomp
 
 from repro.config import perf_smoke
 
-from benchmarks.harness import measure_peak_alloc, measure_peak_rss
+from benchmarks.harness import measure_peak_alloc
 
 SMOKE = perf_smoke()
 
@@ -159,12 +159,9 @@ def _bench_workload(suite: str, kernel: str, params: dict) -> List[dict]:
                                slicer.index_stats())
     # Untimed peak-memory measurement of the same session per engine:
     # what the index itself costs — CSR arrays and memo tables for the
-    # DDG, block summaries for the scans.  Two complementary views from
-    # the shared harness helpers: peak Python-heap allocation
-    # (deterministic, tracemalloc) and peak resident-set growth
-    # (forked-child ``ru_maxrss``, OS pages included).
+    # DDG, block summaries for the scans — as peak Python-heap
+    # allocation (deterministic, tracemalloc).
     peak_alloc: Dict[str, int] = {}
-    peak_rss: Dict[str, int] = {}
     for index in INDEXES:
         def _session(index=index):
             slicer = BackwardSlicer(session.gtrace,
@@ -173,7 +170,6 @@ def _bench_workload(suite: str, kernel: str, params: dict) -> List[dict]:
             for criterion in queries:
                 slicer.slice(criterion)
         _, peak_alloc[index] = measure_peak_alloc(_session)
-        peak_rss[index] = measure_peak_rss(_session)
 
     # Untimed instrumented re-run of the same query mix per engine: the
     # slicing-layer counters that explain the timings above.
@@ -208,7 +204,6 @@ def _bench_workload(suite: str, kernel: str, params: dict) -> List[dict]:
             "slice_cache_hits": stats["slice_cache_hits"],
             "closure_memo_hits": stats["closure_memo_hits"],
             "peak_alloc_bytes": peak_alloc[index],
-            "peak_rss_bytes": peak_rss[index],
             "obs": obs_stats[index],
         })
     return rows
@@ -244,7 +239,7 @@ def test_perf_slicequery():
                               / totals["ddg"]["query_time_sec"]),
     }
     report = {
-        "schema_version": 3,      # 3: rows carry peak_rss_bytes too
+        "schema_version": 4,      # 4: rows drop peak_rss_bytes
         "smoke": SMOKE,
         "queries_per_workload": QUERIES,
         "distinct_criteria": CRITERIA,

@@ -24,7 +24,7 @@ from repro.pinplay.regions import RegionSpec
 from repro.pinplay.logger import FastRecorder, LoggerTool, record_region
 from repro.pinplay.replayer import (SyscallInjector, generate_checkpoints,
                                     replay, replay_machine, resume_machine)
-from repro.pinplay.relogger import relog
+from repro.pinplay.relogger import RelogError, relog
 
 __all__ = [
     "EmbeddedCheckpoint",
@@ -34,6 +34,7 @@ __all__ = [
     "Pinball",
     "PinballFormatError",
     "RegionSpec",
+    "RelogError",
     "SyscallInjector",
     "generate_checkpoints",
     "record_region",

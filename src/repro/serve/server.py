@@ -234,8 +234,9 @@ class DebugServer:
         if isinstance(exc, rpc.RpcError):
             return exc.to_response(req_id)
         if isinstance(exc, RemoteOpError):
-            return rpc.make_error(req_id, rpc.INTERNAL_ERROR,
-                                  exc.remote_message,
+            code = (rpc.INVALID_PARAMS if exc.invalid_params
+                    else rpc.INTERNAL_ERROR)
+            return rpc.make_error(req_id, code, exc.remote_message,
                                   data={"op": exc.op,
                                         "type": exc.error_type})
         for exc_types, code in (

@@ -69,14 +69,19 @@ class WorkerCrashError(PoolError):
 
 
 class RemoteOpError(PoolError):
-    """The operation raised inside the worker; carries the remote type."""
+    """The operation raised inside the worker; carries the remote type.
 
-    def __init__(self, op: str, error_type: str, message: str) -> None:
+    ``invalid_params`` marks a failure the request itself caused (the
+    RPC layer answers ``INVALID_PARAMS`` instead of ``INTERNAL_ERROR``)."""
+
+    def __init__(self, op: str, error_type: str, message: str,
+                 invalid_params: bool = False) -> None:
         super().__init__("%s failed in worker: %s: %s"
                          % (op, error_type, message))
         self.op = op
         self.error_type = error_type
         self.remote_message = message
+        self.invalid_params = invalid_params
 
 
 class PoolFuture:
@@ -292,6 +297,7 @@ def _worker_main(worker_id: int, task_q, result_q, store_root: Optional[str],
     """Worker loop: pop (req_id, op, params), push (req_id, status, ...)."""
     if config.get("obs"):
         OBS.enable()
+    from repro.pinplay.relogger import RelogError
     from repro.serve.sessions import SessionManager
     from repro.serve.store import PinballStore
     store = PinballStore(store_root) if store_root else None
@@ -311,7 +317,8 @@ def _worker_main(worker_id: int, task_q, result_q, store_root: Optional[str],
         except BaseException as exc:   # noqa: BLE001 — wire it back
             result_q.put((req_id, worker_id, "error",
                           {"op": op, "type": type(exc).__name__,
-                           "message": str(exc)}))
+                           "message": str(exc),
+                           "invalid_params": isinstance(exc, RelogError)}))
             continue
         result_q.put((req_id, worker_id, "ok", result))
 
@@ -528,7 +535,8 @@ class WorkerPool:
                 OBS.inc("serve.pool/errors")
             pending.future._fail(RemoteOpError(
                 payload.get("op", pending.op), payload.get("type", "Error"),
-                payload.get("message", "")))
+                payload.get("message", ""),
+                invalid_params=payload.get("invalid_params", False)))
 
     def _expire_deadlines(self) -> None:
         now = time.monotonic()

@@ -166,8 +166,8 @@ class Machine:
         self._rec_mem_pc: Optional[List[bool]] = None
         self._rec_reads: List[int] = []
         self._rec_writes: List[int] = []
-        #: Selective-trace path (see set_selective): a sink-bound handler
-        #: table from repro.vm.microops.decode_selective, or None.
+        #: Selective-trace path (see set_selective): a consumer-bound
+        #: per-pc handler table, or None.
         self._uops_sel = None
         self._event_reuse_ok = False
         self._scratch_event: Optional[InstrEvent] = None
@@ -240,15 +240,17 @@ class Machine:
     def set_selective(self, table) -> None:
         """Arm (or with ``None`` disarm) the selective-trace path.
 
-        ``table`` comes from :func:`repro.vm.microops.decode_selective`:
-        a sink-bound handler per pc that executes at untraced speed and
-        reports only the event classes the sink watches.  This is how the
-        re-execution slicer replays a pinball (or a checkpoint-bounded
-        window of one) while recording a pc stream or bare memory
-        addresses instead of full instruction events.  Requires the
-        predecoded engine; mutually exclusive with exclusion skips (the
-        reexec path never sees slice pinballs) and ignored while a
-        recorder or per-instruction tools are attached.
+        ``table`` holds one consumer-bound handler per pc that executes
+        at untraced speed and reports only what its consumer watches.
+        The re-execution slicer builds it with
+        :func:`repro.vm.microops.decode_selective` to replay a pinball
+        (or a checkpoint-bounded window of one) while recording a pc
+        stream or bare memory addresses instead of full instruction
+        events; the relogger builds one that tracks kept and excluded
+        runs to write a slice pinball.  Requires the predecoded engine;
+        mutually exclusive with exclusion skips (neither consumer
+        replays a slice pinball) and ignored while a recorder or
+        per-instruction tools are attached.
         """
         if table is None:
             self._uops_sel = None

@@ -23,17 +23,21 @@ cached on the program object — into two parallel handler tables:
   untraced speed plus one bare-``int`` append per access: no tuples, no
   register def/use plumbing.  Opcodes without a dedicated record shape
   (SYS, fallbacks) wrap their traced closure and strip the addresses out.
-* ``sel[pc](machine, thread) -> bool`` — the *selective* path
-  (:func:`decode_selective`), the re-execution slicer's fourth table
-  variant.  Unlike the three tables above it is bound to a *sink* object
-  rather than cached on the program: only the event classes the sink
-  watches pay any per-step cost, everything else executes through the
-  untraced closure unchanged.  Two sink modes exist — ``"flow"``
-  (per-retire pc stream plus the few execution-time facts offline
-  analysis cannot recover: branch region ends, indirect-jump targets,
-  syscall result presence, save/restore stack traffic) and ``"mem"``
-  (memory addresses only, for replaying a bounded window of the region
-  on demand).
+* ``sel[pc](machine, thread) -> bool`` — the *selective* path, a fourth
+  table variant armed with :meth:`Machine.set_selective
+  <repro.vm.machine.Machine.set_selective>`.  Unlike the three tables
+  above it is bound to its consumer rather than cached on the program:
+  only the events the consumer watches pay any per-step cost, everything
+  else executes through the untraced closure unchanged.  Two consumers
+  build one.  The re-execution slicer's comes from
+  :func:`decode_selective` in two sink modes — ``"flow"`` (per-retire pc
+  stream plus the few execution-time facts offline analysis cannot
+  recover: branch region ends, indirect-jump targets, syscall result
+  presence, save/restore stack traffic) and ``"mem"`` (memory addresses
+  only, for replaying a bounded window of the region on demand).  The
+  relogger (:mod:`repro.pinplay.relogger`) wraps the ``fast`` and
+  ``rec`` closures of this module's tables in its own keep-cursor
+  handlers.
 
 All handlers return True iff the instruction retired (False: a syscall
 blocked and will be retried).  Instructions the decoder does not recognize
@@ -1170,7 +1174,8 @@ def _rec_ret(next_pc: int, code_len: int) -> RecordHandler:
 
 # -- selective handlers --------------------------------------------------------
 #
-# The re-execution slicer's table variant (see the module docstring).  The
+# The re-execution slicer's selective tables (see the module docstring;
+# the relogger builds its own from the fast and record tables).  The
 # tables are *sink-bound*: every closure captures the sink's callbacks at
 # decode time, so arming a table on a machine adds zero per-step dispatch
 # beyond what the sink asked to observe.  They are therefore never cached

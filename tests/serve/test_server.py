@@ -160,6 +160,17 @@ class TestErrors:
                          "pinball": mangled})
         assert excinfo.value.code == rpc.BAD_PINBALL
 
+    def test_relogging_a_slice_pinball_is_invalid_params(
+            self, server, client):
+        _live, key, _source = server
+        slice_key = client.slice(key, global_name="x", slice_pinball=True)[
+            "slice_pinball_key"]
+        with pytest.raises(rpc.RpcRemoteError) as excinfo:
+            client.slice(slice_key, global_name="x", slice_pinball=True)
+        assert excinfo.value.code == rpc.INVALID_PARAMS
+        assert "exclusion records" in excinfo.value.remote_message
+        assert excinfo.value.data["type"] == "RelogError"
+
     def test_errors_do_not_kill_the_connection(self, client):
         with pytest.raises(rpc.RpcRemoteError):
             client.replay("0" * 64)

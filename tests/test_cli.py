@@ -137,6 +137,29 @@ class TestSlice:
         assert main(["slice", racy_file, racy_pinball,
                      "--var", "nope"]) == 65
 
+    def test_slice_pinball_of_a_slice_pinball_exits_65(self, tmp_path,
+                                                       capsys):
+        # Relogging a slice pinball would drop its excluded code's
+        # effects: the result replayed and printed nothing.
+        source = tmp_path / "loop.c"
+        source.write_text(
+            "int b;\nint main() {\n    int i;\n"
+            "    for (i = 1; i < 21; i = i + 1) { b = b + i; }\n"
+            "    print(b);\n    return 0;\n}\n")
+        region, first, second = (str(tmp_path / name) for name in
+                                 ("r.pinball", "s1.pinball", "s2.pinball"))
+        assert main(["record", str(source), "-o", region]) == 0
+        assert main(["slice", str(source), region, "--var", "b",
+                     "--slice-pinball", first]) == 0
+        capsys.readouterr()
+        assert main(["replay", str(source), first]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "210"
+        assert main(["slice", str(source), first, "--var", "b",
+                     "--slice-pinball", second]) == 65
+        err = capsys.readouterr().err
+        assert "slice pinball" in err and "exclusion records" in err
+        assert not os.path.exists(second)
+
 
 class TestDual:
     def test_dual_diff_of_input_dependent_bug(self, tmp_path, capsys):
