@@ -49,7 +49,7 @@ def measure_peak_alloc(fn, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Parallel-speedup bar gating (shared by the serve and shard benchmarks)
+# Parallel-speedup bar gating (used by the parallel serve benchmarks)
 # ---------------------------------------------------------------------------
 
 def available_cpus() -> int:

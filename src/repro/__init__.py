@@ -36,12 +36,10 @@ Quickstart::
 
 This module is the *stable* public surface: everything in ``__all__``
 is blessed, everything else should be imported from its subpackage and
-may move.  Configuration (engine choice, slice index, shard count,
-observability, pool width) resolves through :mod:`repro.config` with
-one precedence rule: explicit argument > CLI flag > ``REPRO_*``
-environment variable > default.  A few pre-1.0 spellings remain
-importable as deprecated aliases (module ``__getattr__`` shims that
-emit :class:`DeprecationWarning`); see ``_DEPRECATED_ALIASES``.
+may move.  Configuration (engine choice, slice index, observability,
+pool width) resolves through :mod:`repro.config` with one precedence
+rule: explicit argument > CLI flag > ``REPRO_*`` environment variable >
+default.
 """
 
 __version__ = "1.0.0"
@@ -110,24 +108,3 @@ __all__ = [
     "replay",
     "__version__",
 ]
-
-#: Deprecated pre-1.0 spellings, served lazily with a warning.  Kept one
-#: release so downstream scripts keep importing; new code should use the
-#: right-hand names (all in ``__all__``).
-_DEPRECATED_ALIASES = {
-    "record_pinball": "record_region",
-    "replay_pinball": "replay",
-    "SliceSession": "SlicingSession",
-    "races": "detect_races",
-}
-
-
-def __getattr__(name: str):
-    """Module-level shim resolving :data:`_DEPRECATED_ALIASES`."""
-    target = _DEPRECATED_ALIASES.get(name)
-    if target is not None:
-        import warnings
-        warnings.warn("repro.%s is deprecated; use repro.%s"
-                      % (name, target), DeprecationWarning, stacklevel=2)
-        return globals()[target]
-    raise AttributeError("module 'repro' has no attribute %r" % name)

@@ -13,18 +13,12 @@ The same payload shape travels over every surface: library returns,
 verbs, so a multi-stage pipeline can feed one stage's output to the
 next without per-surface reshaping.  :func:`validate_report` is the
 single checker all of them (and the test suite) share.
-
-Pre-schema spellings (``race_count``, maple's bare ``candidates``
-count) remain in emitted payloads for one release and are accepted on
-input through :func:`repro.deprecation.deprecated_field`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-from repro.deprecation import deprecated_field
 
 __all__ = [
     "HuntFinding",
@@ -224,19 +218,11 @@ def report_envelope(kind: str, findings: Sequence, **extra) -> dict:
 
 
 def races_report_payload(races, program=None) -> dict:
-    """Race findings under the shared schema.
-
-    Emits the canonical ``finding_count``/``findings`` pair plus the
-    pre-schema ``race_count``/``races`` spellings (deprecated, kept one
-    release) so existing consumers keep parsing.
-    """
+    """Race findings under the shared schema."""
     findings = sorted(
         (RaceFinding.from_race(race, program) for race in races),
         key=lambda f: (f.addr, f.kind, f.first_pc, f.second_pc))
-    payload = report_envelope("races", findings)
-    payload["race_count"] = payload["finding_count"]
-    payload["races"] = payload["findings"]
-    return payload
+    return report_envelope("races", findings)
 
 
 def maple_report_payload(result) -> dict:
@@ -253,15 +239,13 @@ def maple_report_payload(result) -> dict:
                             if result.iroot is not None else
                             "exposed during profiling"),
         })
-    payload = report_envelope(
+    return report_envelope(
         "maple", findings,
         exposed=result.exposed,
         exposed_by=result.exposed_by,
         profile_runs=result.profile_runs,
         active_runs=result.active_runs,
         candidate_count=result.candidates)
-    payload["candidates"] = result.candidates     # deprecated spelling
-    return payload
 
 
 def hunt_report_payload(findings: Sequence[HuntFinding],
@@ -314,10 +298,10 @@ def validate_report(payload: dict) -> dict:
     if kind not in REPORT_KINDS:
         raise ValueError("payload kind is %r, expected one of %s"
                          % (kind, ", ".join(REPORT_KINDS)))
-    findings = deprecated_field(payload, "races", "findings")
+    findings = payload.get("findings")
     if not isinstance(findings, list):
         raise ValueError("report findings must be a list")
-    count = deprecated_field(payload, "race_count", "finding_count")
+    count = payload.get("finding_count")
     if count != len(findings):
         raise ValueError("finding_count %r does not match %d findings"
                          % (count, len(findings)))

@@ -212,8 +212,6 @@ def cmd_slice(args) -> int:
                          refine_cfg=not args.no_refine)
     if args.index:
         option_kwargs["index"] = config.slice_index(cli=args.index)
-    if args.shards is not None:
-        option_kwargs["shards"] = config.slice_shards(cli=args.shards)
     session = SlicingSession(pinball, program, SliceOptions(**option_kwargs))
     if args.var:
         dslice = session.slice_for_global(args.var)
@@ -229,9 +227,9 @@ def cmd_slice(args) -> int:
     else:
         print("slice: %d instances, %d threads" % (
             len(dslice), len(dslice.threads())))
-    print("[index=%s shards=%d trace=%.3fs build=%.3fs query=%.3fs "
+    print("[index=%s trace=%.3fs build=%.3fs query=%.3fs "
           "edges=%d memo=%d/%d]"
-          % (stats["slice_index"], stats["shards"], stats["trace_time_sec"],
+          % (stats["slice_index"], stats["trace_time_sec"],
              stats["ddg_build_time_sec"], session.last_slice_time,
              stats["edge_count"], stats["memo_hits"], stats["memo_misses"]),
           file=sys.stderr)
@@ -336,8 +334,6 @@ def cmd_debug(args) -> int:
     option_kwargs = {}
     if args.slice_index:
         option_kwargs["index"] = config.slice_index(cli=args.slice_index)
-    if args.shards is not None:
-        option_kwargs["shards"] = config.slice_shards(cli=args.shards)
     slice_options = SliceOptions(**option_kwargs) if option_kwargs else None
     session = DrDebugSession(pinball, program, source=source,
                              slice_options=slice_options)
@@ -396,16 +392,11 @@ def cmd_obs(args) -> int:
 
 def cmd_serve(args) -> int:
     """``repro serve``: run the resident debug service until shutdown."""
-    slice_options = None
-    if args.shards is not None:
-        slice_options = SliceOptions(
-            shards=config.slice_shards(cli=args.shards))
     server = DebugServer(
         args.store, host=args.host, port=args.port, workers=args.workers,
         queue_limit=args.queue_limit, request_timeout=args.timeout,
         lru_entries=args.lru_entries, lru_bytes=args.lru_bytes,
-        max_request_bytes=args.max_request_bytes,
-        slice_options=slice_options)
+        max_request_bytes=args.max_request_bytes)
 
     def announce(host: str, port: int) -> None:
         print("repro debug service on %s:%d (store: %s, workers: %d)"
@@ -544,8 +535,6 @@ def cmd_client(args) -> int:
                 options["slice_pinball"] = True
             if args.index:
                 options["index"] = config.slice_index(cli=args.index)
-            if args.shards is not None:
-                options["shards"] = config.slice_shards(cli=args.shards)
             result = client.slice(args.key, **options)
         elif verb == "last-reads":
             result = client.last_reads(args.key, count=args.count)
@@ -578,8 +567,7 @@ def cmd_client(args) -> int:
     if verb in ("races", "hunt"):
         # Same exit-code contract as the local `repro races`/`repro
         # hunt` commands: 2 when the analysis found something.
-        return 2 if result.get("finding_count",
-                               result.get("race_count", 0)) else 0
+        return 2 if result["finding_count"] else 0
     return 0
 
 
@@ -605,10 +593,9 @@ def _print_client_result(verb: str, result) -> None:
                   % result["slice_pinball_key"])
         return
     if verb == "races":
-        for race in result.get("findings", result.get("races", [])):
+        for race in result["findings"]:
             print(race["description"])
-        print("[%d unique racy site pairs]"
-              % result.get("finding_count", result.get("race_count", 0)),
+        print("[%d unique racy site pairs]" % result["finding_count"],
               file=sys.stderr)
         return
     if verb == "hunt":
@@ -725,10 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default=None,
                     help="slice-query engine (default: the build-once DDG "
                          "index, or $REPRO_SLICE_INDEX)")
-    sl.add_argument("--shards", type=int, default=None, metavar="K",
-                    help="trace the recording as K parallel region shards "
-                         "(default: 1 = serial, or $REPRO_SLICE_SHARDS; "
-                         "results are identical either way)")
     sl.add_argument("--json", action="store_true",
                     help="print the canonical slice payload (same field "
                          "names as the serve `slice` verb)")
@@ -789,9 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     debug.add_argument("--slice-index", choices=("ddg", "columnar", "rows", "reexec"),
                        default=None,
                        help="slice-query engine for slicing commands")
-    debug.add_argument("--shards", type=int, default=None, metavar="K",
-                       help="region-sharded trace width for slicing "
-                            "commands (default: serial)")
     debug.set_defaults(func=cmd_debug)
 
     dis = sub.add_parser("disasm", help="disassemble a compiled program")
@@ -838,10 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port-file", default=None, metavar="PATH",
                        help="write the bound port here once listening "
                             "(for scripts using --port 0)")
-    serve.add_argument("--shards", type=int, default=None, metavar="K",
-                       help="build resident sessions as K parallel region "
-                            "shards (spawns non-daemonic workers so they "
-                            "can fork the shard tracers)")
     serve.set_defaults(func=cmd_serve)
 
     router = sub.add_parser(
@@ -903,10 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="store the relogged slice pinball too")
     csl.add_argument("--index", choices=("ddg", "columnar", "rows", "reexec"),
                      default=None)
-    csl.add_argument("--shards", type=int, default=None, metavar="K",
-                     help="build the session region-sharded (needs a "
-                          "shard-capable server, see `repro serve "
-                          "--shards`)")
     clr = cverbs.add_parser("last-reads",
                             help="latest memory-reading instances")
     clr.add_argument("key")

@@ -14,7 +14,7 @@ all of those with a single table of knobs and one precedence rule.
 1. **explicit argument** — a value passed directly to a constructor or
    function (``SliceOptions(index="rows")``, ``WorkerPool(workers=4)``,
    ``Machine(..., engine="legacy")``);
-2. **CLI flag** — the command line (``--shards``, ``--obs``,
+2. **CLI flag** — the command line (``--index``, ``--obs``,
    ``--workers``).  The CLI resolves flags through :func:`resolve`
    before constructing anything, so lower layers never see argparse;
 3. **environment variable** — the ``REPRO_*`` family (how the CI matrix
@@ -28,7 +28,6 @@ environment variable      resolver                   type        default
 ========================  =========================  ==========  =======
 ``REPRO_ENGINE``          :func:`engine`             choice      ``predecoded``
 ``REPRO_SLICE_INDEX``     :func:`slice_index`        choice      ``ddg``
-``REPRO_SLICE_SHARDS``    :func:`slice_shards`       int >= 1    ``1``
 ``REPRO_OBS``             :func:`obs_enabled`        bool        ``False``
 ``REPRO_SERVE_WORKERS``   :func:`serve_workers`      int >= 1    ``2``
 ``REPRO_PERF_SMOKE``      :func:`perf_smoke`         bool        ``False``
@@ -79,7 +78,6 @@ __all__ = [
     "router_nodes",
     "serve_workers",
     "slice_index",
-    "slice_shards",
 ]
 
 #: Recognised interpreter engines (mirrored by ``repro.vm.ENGINES``).
@@ -157,9 +155,6 @@ KNOBS: Dict[str, Knob] = {
         Knob("slice_index", "REPRO_SLICE_INDEX", "ddg", _identity,
              _choice(_SLICE_INDEXES),
              doc="slice-query engine (DDG, backward scans, or reexec)"),
-        Knob("slice_shards", "REPRO_SLICE_SHARDS", 1, _parse_int,
-             _positive,
-             doc="regions traced in parallel by SlicingSession (1=serial)"),
         Knob("obs", "REPRO_OBS", False, _parse_bool,
              doc="process-wide observability registry on/off"),
         Knob("serve_workers", "REPRO_SERVE_WORKERS", 2, _parse_int,
@@ -223,12 +218,6 @@ def slice_index(explicit: Optional[str] = None,
     """Slice-query engine: ``ddg`` (default), ``columnar``, ``rows`` or
     ``reexec`` (on-demand re-execution over the pinball)."""
     return resolve("slice_index", explicit, cli)
-
-
-def slice_shards(explicit: Optional[int] = None,
-                 cli: Optional[int] = None) -> int:
-    """Trace/DDG shard count for :class:`SlicingSession` (1 = serial)."""
-    return resolve("slice_shards", explicit, cli)
 
 
 def obs_enabled(explicit: Optional[bool] = None,

@@ -470,11 +470,10 @@ class DrDebugSession:
             self.slicing.failure_criterion())
         return self.current_slice
 
-    def slice_for_variable(self, global_name: Optional[str] = None,
+    def slice_for_variable(self, global_name: str,
                            line: Optional[int] = None,
                            tid: Optional[int] = None,
-                           instance: Optional[tuple] = None, *,
-                           name: Optional[str] = None) -> DynamicSlice:
+                           instance: Optional[tuple] = None) -> DynamicSlice:
         """Slice for the value of global ``global_name``.
 
         The criterion instance is, in order of precedence, the explicit
@@ -482,15 +481,8 @@ class DrDebugSession:
         (optionally per-``tid``), or the last write to the global.  Same
         keyword vocabulary as
         :meth:`~repro.slicing.api.SlicingSession.slice_for_global` and
-        the serve ``slice`` verb; the pre-unification ``name=`` spelling
-        still works but warns.
+        the serve ``slice`` verb.
         """
-        from repro.deprecation import deprecated_kwarg
-        global_name = deprecated_kwarg("name", name,
-                                       "global_name", global_name)
-        if global_name is None:
-            raise TypeError("slice_for_variable() missing the "
-                            "'global_name' argument")
         session = self.slicing
         if instance is not None:
             self.current_slice = session.slice_for(

@@ -219,9 +219,9 @@ def _json_bytes(payload) -> bytes:
 
 def capture_state(machine, consumed: Dict[int, int],
                   output: Sequence) -> dict:
-    """One resumable state capture — the shard scout's boundary
-    machinery, promoted into the format so recorder checkpoints, scout
-    boundaries and debugger restores all agree on the shape."""
+    """One resumable state capture, in the format's own shape, so
+    recorder checkpoints, reexec window starts and debugger restores
+    all agree on it."""
     return {
         "snapshot": machine.snapshot().to_dict(),
         "consumed": dict(consumed),

@@ -141,8 +141,8 @@ class Pinball:
         ``steps`` (None when the pinball carries none that early).
 
         The one checkpoint-selection primitive: every consumer (the
-        replayer's resume path, the shard scout, the debugger's rewind,
-        the reexec slicer's window passes) binary-searches the same
+        replayer's resume path, the debugger's rewind, the reexec
+        slicer's window passes) binary-searches the same
         cached ascending index instead of scanning CHECKPOINT frames
         independently.  The cache key guards rebinding and appends,
         the two ways the list could change after construction.

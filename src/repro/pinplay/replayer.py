@@ -94,18 +94,6 @@ def replay_machine(pinball: Pinball, program: Program,
     return machine
 
 
-def best_checkpoint(pinball: Pinball,
-                    steps: int) -> Optional[EmbeddedCheckpoint]:
-    """The latest embedded checkpoint at or before region step ``steps``
-    (None when the pinball carries none that early).
-
-    Thin compatibility wrapper: the selection logic (cached sorted
-    index + binary search) lives on :meth:`Pinball.nearest_checkpoint`
-    so every consumer shares one implementation.
-    """
-    return pinball.nearest_checkpoint(steps)
-
-
 def resume_machine(pinball: Pinball, program: Program,
                    checkpoint: EmbeddedCheckpoint,
                    engine: Optional[str] = None
@@ -115,8 +103,9 @@ def resume_machine(pinball: Pinball, program: Program,
     This is the O(chunk) seek primitive: restoring the checkpoint's
     snapshot and replaying only the schedule suffix reaches any step in
     at most ``checkpoint_interval`` replayed steps, regardless of how
-    long the region is.  The injector is returned so callers (debugger,
-    shard scout) can capture further resume points of their own.
+    long the region is.  The injector is returned so callers (the
+    debugger, the reexec slicer) can capture further resume points of
+    their own.
     """
     if program.name != pinball.program_name:
         raise ReplayDivergence(

@@ -33,11 +33,10 @@ from functools import partial
 from typing import Optional
 
 from repro.obs.registry import OBS
-from repro.pinplay.pinball import Pinball, PinballFormatError
+from repro.pinplay.pinball import Pinball
 from repro.serve import rpc
 from repro.serve.store import PinballStore
-from repro.serve.workers import (PoolBusyError, PoolTimeoutError,
-                                 RemoteOpError, WorkerCrashError, WorkerPool)
+from repro.serve.workers import RemoteOpError, WorkerPool, error_code
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 9178
@@ -85,27 +84,16 @@ class DebugServer:
                  request_timeout: float = 120.0,
                  lru_entries: int = 4,
                  lru_bytes: int = 512 * 1024 * 1024,
-                 max_request_bytes: int = rpc.MAX_REQUEST_BYTES,
-                 slice_options=None) -> None:
+                 max_request_bytes: int = rpc.MAX_REQUEST_BYTES) -> None:
         self.store = PinballStore(store_root)
         self.host = host
         self.port = port
         self.max_request_bytes = max_request_bytes
-        # Shard-capable pools need non-daemonic workers: a worker whose
-        # resident sessions build with ``SliceOptions(shards>1)`` forks
-        # the region-shard tracer processes itself, and multiprocessing
-        # forbids daemons from having children.  (A daemonic worker that
-        # receives a per-request ``shards`` anyway falls back to the
-        # serial build — counted under ``slicing.shard/fallbacks``.)
-        from repro import config as _config
-        effective_shards = (slice_options.shards if slice_options is not None
-                            else _config.slice_shards())
         self.pool = WorkerPool(store_root=store_root, workers=workers,
                                queue_limit=queue_limit,
                                default_timeout=request_timeout,
                                lru_entries=lru_entries, lru_bytes=lru_bytes,
-                               obs=OBS.enabled, slice_options=slice_options,
-                               daemon=effective_shards <= 1)
+                               obs=OBS.enabled)
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
         self.counts = {"connections": 0, "requests": 0, "errors": 0}
@@ -234,23 +222,14 @@ class DebugServer:
         if isinstance(exc, rpc.RpcError):
             return exc.to_response(req_id)
         if isinstance(exc, RemoteOpError):
-            code = (rpc.INVALID_PARAMS if exc.invalid_params
-                    else rpc.INTERNAL_ERROR)
-            return rpc.make_error(req_id, code, exc.remote_message,
+            return rpc.make_error(req_id, exc.code, exc.remote_message,
                                   data={"op": exc.op,
                                         "type": exc.error_type})
-        for exc_types, code in (
-                ((KeyError, LookupError), rpc.NOT_FOUND),
-                ((PinballFormatError,), rpc.BAD_PINBALL),
-                ((PoolBusyError,), rpc.BUSY),
-                ((PoolTimeoutError,), rpc.TIMEOUT),
-                ((WorkerCrashError,), rpc.WORKER_CRASHED),
-                ((TypeError, ValueError), rpc.INVALID_PARAMS)):
-            if isinstance(exc, exc_types):
-                return rpc.make_error(req_id, code,
-                                      str(exc).strip("'\""))
-        return rpc.make_error(req_id, rpc.INTERNAL_ERROR,
-                              "%s: %s" % (type(exc).__name__, exc))
+        code = error_code(exc)
+        if code == rpc.INTERNAL_ERROR:
+            return rpc.make_error(req_id, code,
+                                  "%s: %s" % (type(exc).__name__, exc))
+        return rpc.make_error(req_id, code, str(exc).strip("'\""))
 
     async def _pool_call(self, op: str, params: dict,
                          key: Optional[str] = None):

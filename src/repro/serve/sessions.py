@@ -48,7 +48,7 @@ BYTES_PER_TRACE_RECORD = 400
 DEFAULT_MAX_ENTRIES = 8
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
-SessionKey = Tuple[str, str, str, int]
+SessionKey = Tuple[str, str, str]
 
 
 class SessionManager:
@@ -56,12 +56,11 @@ class SessionManager:
 
     def __init__(self, store, max_entries: int = DEFAULT_MAX_ENTRIES,
                  max_bytes: int = DEFAULT_MAX_BYTES,
-                 slice_options: Optional[SliceOptions] = None,
                  index_cache: Optional[bool] = None) -> None:
         self.store = store
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.slice_options = slice_options or SliceOptions()
+        self.slice_options = SliceOptions()
         self.index_cache = config.index_cache(explicit=index_cache)
         self._sessions: "OrderedDict[SessionKey, Tuple[SlicingSession, int]]" \
             = OrderedDict()
@@ -90,24 +89,18 @@ class SessionManager:
 
     def open(self, pinball_sha: str, source_sha: str,
              program_name: str = "program",
-             index: Optional[str] = None,
-             shards: Optional[int] = None) -> SlicingSession:
+             index: Optional[str] = None) -> SlicingSession:
         """The resident session for a stored recording (build on miss).
 
-        ``index`` selects the slice-query engine and ``shards`` the
-        region-sharded build width — both are cache-key components
-        (sessions built under different engines memoize differently, and
-        a sharded build is a distinct construction even though its
-        results are byte-identical); defaults come from the manager's
+        ``index`` selects the slice-query engine and is a cache-key
+        component (sessions built under different engines memoize
+        differently); the default comes from the manager's
         :class:`SliceOptions`.
         """
         options = self.slice_options
         if index is not None and index != options.index:
             options = dataclasses.replace(options, index=index)
-        if shards is not None and int(shards) != options.shards:
-            options = dataclasses.replace(options, shards=int(shards))
-        key: SessionKey = (pinball_sha, source_sha, options.index,
-                           options.shards)
+        key: SessionKey = (pinball_sha, source_sha, options.index)
         cached = self._sessions.get(key)
         if cached is not None:
             self._sessions.move_to_end(key)
@@ -328,9 +321,7 @@ def race_payload(races, program) -> dict:
     """Deterministic JSON rendering of a race-detection result.
 
     Thin wrapper over the unified report schema
-    (:func:`repro.analysis.report.races_report_payload`); the legacy
-    ``race_count``/``races`` spellings ride along in the envelope for
-    one deprecation cycle.
+    (:func:`repro.analysis.report.races_report_payload`).
     """
     from repro.analysis.report import races_report_payload
     return races_report_payload(races, program)

@@ -40,6 +40,8 @@ from typing import Dict, Optional
 import multiprocessing as mp
 
 from repro.obs.registry import OBS
+from repro.pinplay.pinball import PinballFormatError
+from repro.serve import rpc
 
 #: Pool width default, overridable with ``REPRO_SERVE_WORKERS`` (next to
 #: ``REPRO_SLICE_INDEX`` / ``REPRO_OBS``; see :mod:`repro.config`).
@@ -69,19 +71,41 @@ class WorkerCrashError(PoolError):
 
 
 class RemoteOpError(PoolError):
-    """The operation raised inside the worker; carries the remote type.
-
-    ``invalid_params`` marks a failure the request itself caused (the
-    RPC layer answers ``INVALID_PARAMS`` instead of ``INTERNAL_ERROR``)."""
+    """The operation raised inside the worker; carries the remote type
+    and the JSON-RPC error ``code`` the worker stamped with
+    :func:`error_code`."""
 
     def __init__(self, op: str, error_type: str, message: str,
-                 invalid_params: bool = False) -> None:
+                 code: int) -> None:
         super().__init__("%s failed in worker: %s: %s"
                          % (op, error_type, message))
         self.op = op
         self.error_type = error_type
         self.remote_message = message
-        self.invalid_params = invalid_params
+        self.code = code
+
+
+#: Exception type -> JSON-RPC error code, first match wins.  ``KeyError``
+#: and ``IndexError`` (an unknown store key, an instance past the end of
+#: its thread) are both ``LookupError``; ``ValueError`` covers every
+#: typed rejection of a malformed request (``RelogError`` included).
+_ERROR_CODES = (
+    (LookupError, rpc.NOT_FOUND),
+    (PinballFormatError, rpc.BAD_PINBALL),
+    (PoolBusyError, rpc.BUSY),
+    (PoolTimeoutError, rpc.TIMEOUT),
+    (WorkerCrashError, rpc.WORKER_CRASHED),
+    ((TypeError, ValueError), rpc.INVALID_PARAMS),
+)
+
+
+def error_code(exc: BaseException) -> int:
+    """The JSON-RPC error code answering a request that raised ``exc``,
+    wherever it raised: in the server process or inside a worker."""
+    for exc_types, code in _ERROR_CODES:
+        if isinstance(exc, exc_types):
+            return code
+    return rpc.INTERNAL_ERROR
 
 
 class PoolFuture:
@@ -265,8 +289,7 @@ def _execute(op: str, params: dict, store, manager):
                 "pinball_raw": pinball.to_bytes(compress=False)}
 
     session = manager.open(key, source, program_name=name,
-                           index=params.get("index"),
-                           shards=params.get("shards"))
+                           index=params.get("index"))
     if op == "build":
         # trace_record_count() answers without materializing the trace,
         # which matters for reexec sessions (no full trace resident).
@@ -297,15 +320,13 @@ def _worker_main(worker_id: int, task_q, result_q, store_root: Optional[str],
     """Worker loop: pop (req_id, op, params), push (req_id, status, ...)."""
     if config.get("obs"):
         OBS.enable()
-    from repro.pinplay.relogger import RelogError
     from repro.serve.sessions import SessionManager
     from repro.serve.store import PinballStore
     store = PinballStore(store_root) if store_root else None
     manager = SessionManager(
         store,
         max_entries=config.get("lru_entries", 4),
-        max_bytes=config.get("lru_bytes", 512 * 1024 * 1024),
-        slice_options=config.get("slice_options"))
+        max_bytes=config.get("lru_bytes", 512 * 1024 * 1024))
     while True:
         item = task_q.get()
         if item is None:
@@ -318,7 +339,7 @@ def _worker_main(worker_id: int, task_q, result_q, store_root: Optional[str],
             result_q.put((req_id, worker_id, "error",
                           {"op": op, "type": type(exc).__name__,
                            "message": str(exc),
-                           "invalid_params": isinstance(exc, RelogError)}))
+                           "code": error_code(exc)}))
             continue
         result_q.put((req_id, worker_id, "ok", result))
 
@@ -334,35 +355,13 @@ class WorkerPool:
                  default_timeout: float = 120.0,
                  lru_entries: int = 4,
                  lru_bytes: int = 512 * 1024 * 1024,
-                 obs: bool = False,
-                 slice_options=None,
-                 worker_target=None,
-                 worker_config: Optional[dict] = None,
-                 name: str = "serve",
-                 daemon: bool = True) -> None:
+                 obs: bool = False) -> None:
         self.store_root = store_root
         self.workers = workers if workers is not None else default_workers()
         self.queue_limit = queue_limit
         self.default_timeout = default_timeout
-        #: The function each worker process runs.  Defaults to the debug
-        #: service loop (:func:`_worker_main`); other subsystems reuse the
-        #: pool mechanics (bounded queue, deadlines, crash respawn) by
-        #: supplying their own module-level target with the same
-        #: ``(worker_id, task_q, result_q, store_root, config)``
-        #: signature — the region-shard tracer
-        #: (:mod:`repro.slicing.shard`) is one.
-        self._worker_target = worker_target or _worker_main
-        self._name = name
-        #: Daemonic workers die with the parent (the right default for a
-        #: service), but ``multiprocessing`` forbids a daemon from having
-        #: children of its own — a serve pool whose sessions build with
-        #: ``SliceOptions(shards>1)`` must pass ``daemon=False`` so its
-        #: workers can fork the region-shard tracers.
-        self._daemon = daemon
         self._config = {"lru_entries": lru_entries, "lru_bytes": lru_bytes,
-                        "obs": obs, "slice_options": slice_options}
-        if worker_config:
-            self._config.update(worker_config)
+                        "obs": obs}
         self._ctx = mp.get_context()
         self._task_qs = []
         self._procs = []
@@ -388,8 +387,7 @@ class WorkerPool:
             self._task_qs.append(self._ctx.Queue())
             self._procs.append(self._spawn(worker_id))
         self._collector = threading.Thread(target=self._collect_loop,
-                                           name="%s-pool-collector"
-                                           % self._name,
+                                           name="serve-pool-collector",
                                            daemon=True)
         self._collector.start()
         self.started = True
@@ -397,11 +395,11 @@ class WorkerPool:
 
     def _spawn(self, worker_id: int):
         proc = self._ctx.Process(
-            target=self._worker_target,
+            target=_worker_main,
             args=(worker_id, self._task_qs[worker_id], self._result_q,
                   self.store_root, self._config),
-            name="%s-worker-%d" % (self._name, worker_id),
-            daemon=self._daemon)
+            name="serve-worker-%d" % worker_id,
+            daemon=True)
         proc.start()
         return proc
 
@@ -536,7 +534,7 @@ class WorkerPool:
             pending.future._fail(RemoteOpError(
                 payload.get("op", pending.op), payload.get("type", "Error"),
                 payload.get("message", ""),
-                invalid_params=payload.get("invalid_params", False)))
+                code=payload.get("code", rpc.INTERNAL_ERROR)))
 
     def _expire_deadlines(self) -> None:
         now = time.monotonic()

@@ -10,9 +10,9 @@ replay entirely: a :class:`~repro.slicing.reexec.ReexecIndex` scaffold
 pass (selective tracing, near-untraced speed) seeds the session, and each
 query re-replays only the checkpoint-bounded windows it needs — peak
 memory proportional to the slice, not the region.  Configurations the
-reexec engine does not cover (sharded builds, exclusion pinballs, the
-legacy engine, programs the selective decoder rejects) fall back to the
-materialized pipeline transparently, answering with identical bytes.
+reexec engine does not cover (exclusion pinballs, the legacy engine,
+programs the selective decoder rejects) fall back to the materialized
+pipeline transparently, answering with identical bytes.
 """
 
 from __future__ import annotations
@@ -74,16 +74,13 @@ class SlicingSession:
 
     def __init__(self, pinball: Pinball, program: Program,
                  options: Optional[SliceOptions] = None,
-                 engine: Optional[str] = None,
-                 shard_boundaries: Optional[Sequence[int]] = None) -> None:
+                 engine: Optional[str] = None) -> None:
         self.pinball = pinball
         self.program = program
         self.options = options or SliceOptions()
         self.engine = engine
         if self.options.obs:
             OBS.enable()
-        #: Diagnostics of the region-sharded build (None while serial).
-        self.shard_plan = None
         #: The materialized pipeline's state (collector + merged trace).
         #: For reexec sessions these stay None until a consumer actually
         #: needs the full trace (the :attr:`collector` / :attr:`gtrace`
@@ -98,8 +95,6 @@ class SlicingSession:
 
         reexec_wanted = (
             self.options.index == "reexec"
-            and self.options.shards == 1
-            and shard_boundaries is None
             and not pinball.exclusions
             and config.engine(explicit=engine) == "predecoded")
         # The phase timers live in the observability registry
@@ -124,21 +119,10 @@ class SlicingSession:
             self.slicer = self._reexec
         else:
             with OBS.span("slicing.trace") as trace_span:
-                sharded = None
-                if self.options.shards > 1 or shard_boundaries is not None:
-                    from repro.slicing.shard import ShardPlan, trace_sharded
-                    self.shard_plan = ShardPlan(self.options.shards, [])
-                    sharded = trace_sharded(
-                        pinball, program, self.options, engine=engine,
-                        boundaries=shard_boundaries, plan_out=self.shard_plan)
-                if sharded is not None:
-                    self._collector, self.machine, self.replay_result = \
-                        sharded
-                else:
-                    self._collector = TraceCollector(program, self.options)
-                    self.machine, self.replay_result = replay(
-                        pinball, program, tools=[self._collector],
-                        verify=False, engine=engine)
+                self._collector = TraceCollector(program, self.options)
+                self.machine, self.replay_result = replay(
+                    pinball, program, tools=[self._collector],
+                    verify=False, engine=engine)
             self.trace_time = trace_span.elapsed
 
             with OBS.span("slicing.preprocess") as prep_span:
@@ -182,7 +166,6 @@ class SlicingSession:
         session.engine = engine
         if session.options.obs:
             OBS.enable()
-        session.shard_plan = None
         session._collector = None
         session._gtrace = None
         session._reexec = None
@@ -363,7 +346,10 @@ class SlicingSession:
 
         This mirrors the paper's slicing-overhead experiment, which slices
         "the last 10 read instructions (spread across five threads)".
+        A negative ``count`` is a :class:`ValueError` under every engine.
         """
+        if count < 0:
+            raise ValueError("last_reads count must be >= 0, got %d" % count)
         if self._frozen is not None:
             return self._frozen.last_reads(count)
         if self._reexec is not None:
@@ -384,30 +370,18 @@ class SlicingSession:
             OBS.observe("slicing.slice_nodes", len(result.nodes))
         return result
 
-    def slice_for_global(self, global_name: Optional[str] = None,
+    def slice_for_global(self, global_name: str,
                          instance: Optional[Instance] = None,
-                         tid: Optional[int] = None, *,
-                         name: Optional[str] = None,
-                         criterion: Optional[Instance] = None
-                         ) -> DynamicSlice:
+                         tid: Optional[int] = None) -> DynamicSlice:
         """Slice for the value of global ``global_name`` as of
         ``instance`` (default: the last write to it, optionally
         restricted to thread ``tid``).
 
-        Uses the unified entry-point vocabulary (``global_name=``,
+        Uses the unified entry-point vocabulary (``global_name``,
         ``instance=``, ``tid=``) shared with
         :meth:`~repro.debugger.session.DrDebugSession.slice_for_variable`
-        and the serve ``slice`` verb; the pre-unification spellings
-        ``name=`` / ``criterion=`` still work but warn.
+        and the serve ``slice`` verb.
         """
-        from repro.deprecation import deprecated_kwarg
-        global_name = deprecated_kwarg("name", name,
-                                       "global_name", global_name)
-        instance = deprecated_kwarg("criterion", criterion,
-                                    "instance", instance)
-        if global_name is None:
-            raise TypeError("slice_for_global() missing the 'global_name' "
-                            "argument")
         if instance is None:
             instance = self.last_write_to_global(global_name, tid)
         return self.slice_for(instance, [self.global_location(global_name)])
@@ -440,7 +414,6 @@ class SlicingSession:
                 "preprocess_time_sec": self.preprocess_time,
                 "mem_order_edges": len(self.pinball.mem_order),
                 "threads": len(self._frozen._columns),
-                "shards": self.options.shards,
             }
             out.update(self.slicer.index_stats())
             return out
@@ -455,7 +428,6 @@ class SlicingSession:
                 "verified_save_restore_pairs":
                     self._reexec.save_restore.pair_count,
                 "threads": self._reexec.threads(),
-                "shards": self.options.shards,
             }
             out.update(self._reexec.index_stats())
             return out
@@ -469,10 +441,7 @@ class SlicingSession:
             "verified_save_restore_pairs":
                 self.collector.save_restore.pair_count,
             "threads": self.collector.store.threads(),
-            "shards": self.options.shards,
         }
-        if self.shard_plan is not None:
-            out["shard_plan"] = self.shard_plan.to_dict()
         # Amortization counters for the build-once DDG engine (zeros for
         # the scan engines, and until the first DDG query builds it).
         out.update(self.slicer.index_stats())

@@ -15,13 +15,6 @@ traversal touching only the slice itself:
   definition reaching the matching save, so spurious save/restore chains
   never enter the graph.  For a columnar trace store the pass runs
   directly on the interned columns — no ``TraceRecord`` is materialized.
-  The pass is structured as ``SliceOptions.shards`` *fragments* —
-  contiguous gpos windows appended to the same CSR columns while the
-  live def maps (per-location last-def tables, the control-dep frontier
-  encoded in the ``cd`` column, the bypass memo) carry across each
-  fragment seam — so the region-sharded pipeline
-  (:mod:`repro.slicing.shard`) and the serial path share one build that
-  is byte-identical for any fragment count.
 * **CSR layout** — edges live in flat ``array('q')`` columns indexed by
   global position: ``indptr[g] .. indptr[g+1]`` delimits node ``g``'s
   predecessor rows in ``preds`` (producer gpos), with parallel edge-kind
@@ -58,16 +51,6 @@ from repro.slicing.trace import Instance, Location
 #: Edge-kind bytes in the CSR kind column.
 EDGE_DATA = 0
 EDGE_CONTROL = 1
-
-
-def fragment_cuts(total: int, fragments: int) -> List[int]:
-    """Gpos cut points splitting ``total`` positions into ``fragments``
-    contiguous build windows: ``[0, ..., total]`` with evenly spaced
-    interior cuts (same arithmetic as the shard planner's step
-    boundaries).  Always at least one fragment; never more than one per
-    position."""
-    fragments = max(1, min(int(fragments or 1), total or 1))
-    return [total * i // fragments for i in range(fragments + 1)]
 
 
 class DependenceIndex:
@@ -124,8 +107,6 @@ class DependenceIndex:
             "node_count": self.node_count,
             "edge_count": self.edge_count,
             "location_count": len(self._locs),
-            "fragment_count": len(self._fragment_offsets),
-            "fragment_edge_offsets": list(self._fragment_offsets),
             "bypassed_edges": self.bypassed_edges,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
@@ -233,128 +214,101 @@ class DependenceIndex:
 
         chase = self._chase
 
-        def build_fragment(lo: int, hi: int) -> None:
-            """Append gpos window ``[lo, hi)`` to the shared CSR columns.
+        last_tid = None
+        statics_col = dyns_col = plan_map = None
+        for g in range(total):
+            tid = tids[g]
+            tindex = tindexes[g]
+            if columnar:
+                if tid != last_tid:
+                    cols = columns[tid]
+                    statics_col = cols.statics
+                    dyns_col = cols.dyns
+                    plan_map = plans_by_tid.get(tid)
+                    if plan_map is None:
+                        plan_map = plans_by_tid[tid] = {}
+                    last_tid = tid
+                static = statics_col[tindex]
+                mdefs, muses, cd, _values = dyns_col[tindex]
+                sid = id(static)
+                plan = plan_map.get(sid)
+                if plan is None:
+                    plan = plan_map[sid] = reg_plan(
+                        tid, static[4], static[3])
+            else:
+                record = order[g]
+                mdefs, muses, cd = record.mdefs, record.muses, record.cd
+                plan_key = (tid, record.ruses, record.rdefs)
+                plan = row_plans.get(plan_key)
+                if plan is None:
+                    plan = row_plans[plan_key] = reg_plan(
+                        tid, record.ruses, record.rdefs)
+            use_pairs, def_dps = plan
 
-            Everything that crosses the seam — the per-location last-def
-            tables (``def_positions`` / ``mem_entries``), the register
-            plans, the bypass memo, the unresolved map — lives in the
-            enclosing scope and carries from fragment to fragment; the
-            per-thread column locals below are a cache refreshed on
-            thread-run boundaries and reset per fragment.
-            """
-            last_tid = None
-            statics_col = dyns_col = plan_map = None
-            for g in range(lo, hi):
-                tid = tids[g]
-                tindex = tindexes[g]
-                if columnar:
-                    if tid != last_tid:
-                        cols = columns[tid]
-                        statics_col = cols.statics
-                        dyns_col = cols.dyns
-                        plan_map = plans_by_tid.get(tid)
-                        if plan_map is None:
-                            plan_map = plans_by_tid[tid] = {}
-                        last_tid = tid
-                    static = statics_col[tindex]
-                    mdefs, muses, cd, _values = dyns_col[tindex]
-                    sid = id(static)
-                    plan = plan_map.get(sid)
-                    if plan is None:
-                        plan = plan_map[sid] = reg_plan(
-                            tid, static[4], static[3])
+            missing = None
+            for locid, dp in use_pairs:    # register uses (bypass applies)
+                if not dp:
+                    if missing is None:
+                        missing = [locid]
+                    else:
+                        missing.append(locid)
+                    continue
+                producer = dp[-1]
+                if prune and restore_flags[producer]:
+                    producer = chase(locid, dp, producer, len(dp) - 1)
+                    if producer < 0:
+                        if missing is None:
+                            missing = [locid]
+                        else:
+                            missing.append(locid)
+                        continue
+                preds.append(producer)
+                kinds.append(EDGE_DATA)
+                elocs.append(locid)
+            for addr in muses:             # memory uses (no bypass)
+                entry = mem_entries.get(addr)
+                if entry is None:
+                    loc = ("m", addr)
+                    locid = loc_ids[loc] = len(locs)
+                    locs.append(loc)
+                    dp = []
+                    def_positions.append(dp)
+                    mem_entries[addr] = (locid, dp)
                 else:
-                    record = order[g]
-                    mdefs, muses, cd = record.mdefs, record.muses, record.cd
-                    plan_key = (tid, record.ruses, record.rdefs)
-                    plan = row_plans.get(plan_key)
-                    if plan is None:
-                        plan = row_plans[plan_key] = reg_plan(
-                            tid, record.ruses, record.rdefs)
-                use_pairs, def_dps = plan
-
-                missing = None
-                for locid, dp in use_pairs:    # register uses (bypass applies)
-                    if not dp:
-                        if missing is None:
-                            missing = [locid]
-                        else:
-                            missing.append(locid)
-                        continue
-                    producer = dp[-1]
-                    if prune and restore_flags[producer]:
-                        producer = chase(locid, dp, producer, len(dp) - 1)
-                        if producer < 0:
-                            if missing is None:
-                                missing = [locid]
-                            else:
-                                missing.append(locid)
-                            continue
-                    preds.append(producer)
-                    kinds.append(EDGE_DATA)
-                    elocs.append(locid)
-                for addr in muses:             # memory uses (no bypass)
-                    entry = mem_entries.get(addr)
-                    if entry is None:
-                        loc = ("m", addr)
-                        locid = loc_ids[loc] = len(locs)
-                        locs.append(loc)
-                        dp = []
-                        def_positions.append(dp)
-                        mem_entries[addr] = (locid, dp)
+                    locid, dp = entry
+                if not dp:
+                    if missing is None:
+                        missing = [locid]
                     else:
-                        locid, dp = entry
-                    if not dp:
-                        if missing is None:
-                            missing = [locid]
-                        else:
-                            missing.append(locid)
-                        continue
-                    preds.append(dp[-1])
-                    kinds.append(EDGE_DATA)
-                    elocs.append(locid)
-                if cd is not None:
-                    if columnar:
-                        cd_gpos = columns[cd[0]].gpos[cd[1]]
-                    else:
-                        cd_gpos = store.get(cd).gpos
-                    preds.append(cd_gpos)
-                    kinds.append(EDGE_CONTROL)
-                    elocs.append(-1)
-                if missing is not None:
-                    unresolved[g] = tuple(missing)
-                for dp in def_dps:
-                    dp.append(g)
-                for addr in mdefs:
-                    entry = mem_entries.get(addr)
-                    if entry is None:
-                        loc = ("m", addr)
-                        locid = loc_ids[loc] = len(locs)
-                        locs.append(loc)
-                        dp = [g]
-                        def_positions.append(dp)
-                        mem_entries[addr] = (locid, dp)
-                    else:
-                        entry[1].append(g)
-                indptr.append(len(preds))
-
-        # The fragment driver: the CSR columns and def maps are strictly
-        # append-only, so running the windows in order is byte-identical
-        # to one monolithic pass — asserted for shards in {1, 2, 4} by
-        # tests/slicing/test_shard_differential.py.  ``_fragment_offsets``
-        # records the edge-column watermark after each fragment (the CSR
-        # seam positions a sharded exporter would stitch at).
-        cuts = fragment_cuts(total, self.options.shards)
-        fragment_offsets: List[int] = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            with OBS.span("slicing.ddg_fragment"):
-                build_fragment(lo, hi)
-            fragment_offsets.append(len(preds))
-        self._fragment_cuts = cuts
-        self._fragment_offsets = fragment_offsets
-        if OBS.enabled:
-            OBS.add("slicing.ddg_fragments", len(fragment_offsets))
+                        missing.append(locid)
+                    continue
+                preds.append(dp[-1])
+                kinds.append(EDGE_DATA)
+                elocs.append(locid)
+            if cd is not None:
+                if columnar:
+                    cd_gpos = columns[cd[0]].gpos[cd[1]]
+                else:
+                    cd_gpos = store.get(cd).gpos
+                preds.append(cd_gpos)
+                kinds.append(EDGE_CONTROL)
+                elocs.append(-1)
+            if missing is not None:
+                unresolved[g] = tuple(missing)
+            for dp in def_dps:
+                dp.append(g)
+            for addr in mdefs:
+                entry = mem_entries.get(addr)
+                if entry is None:
+                    loc = ("m", addr)
+                    locid = loc_ids[loc] = len(locs)
+                    locs.append(loc)
+                    dp = [g]
+                    def_positions.append(dp)
+                    mem_entries[addr] = (locid, dp)
+                else:
+                    entry[1].append(g)
+            indptr.append(len(preds))
 
         self._loc_ids = loc_ids
         self._locs = locs

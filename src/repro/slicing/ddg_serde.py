@@ -41,10 +41,10 @@ mirroring the pinball container's diagnostics contract.
 :class:`~repro.slicing.options.SliceOptions` fields that change the
 *built graph* (refinement, pruning, MaxSave, stack-pointer tracking,
 recorded values).  Engine-selection and build-strategy fields
-(``index``, ``shards``, ``columnar``, ``block_size``, cache sizes,
-``obs``) are deliberately excluded: a sharded build is byte-identical
-to a serial one, so every configuration that would produce the same
-graph shares one cache entry.
+(``index``, ``columnar``, ``block_size``, cache sizes, ``obs``) are
+deliberately excluded: they never change the built graph, so every
+configuration that would produce the same graph shares one cache
+entry.
 """
 
 from __future__ import annotations
@@ -395,9 +395,6 @@ class FrozenIndex(DependenceIndex):
         self._redirect = redirect
         self._prune = prune
         self._bypass_memo: Dict[Tuple[int, int], int] = {}
-        total = len(indptr) - 1
-        self._fragment_cuts = [0, total]
-        self._fragment_offsets = [len(preds)]
 
         # Node detail stays in the flat columns; the per-thread
         # statics/dyns shims the query path reads are materialized

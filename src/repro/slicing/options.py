@@ -52,14 +52,6 @@ Every ablation benchmark flips one of these:
   The environment variable ``REPRO_SLICE_INDEX`` overrides the default
   (used by CI to run the tier-1 suite against every engine); resolution
   goes through :mod:`repro.config` (explicit arg > CLI > env > default).
-* ``shards`` — region-sharded parallel tracing (ISSUE 5): split the
-  recorded execution into this many contiguous windows at snapshot
-  boundaries, trace the windows concurrently in worker processes, and
-  stitch the per-window columns back into one global trace + DDG that
-  is byte-identical to the serial build.  ``1`` (the default) is the
-  serial pipeline and the differential reference; ``REPRO_SLICE_SHARDS``
-  overrides the default.  Sharding changes *when* work happens, never
-  the result (``tests/slicing/test_shard_differential.py``).
 * ``slice_cache_size`` / ``closure_memo_size`` — the DDG engine's result
   LRU (complete ``DynamicSlice`` objects keyed by criterion+locations)
   and reachable-set fragment memo; 0 disables either cache.
@@ -92,11 +84,6 @@ def _default_obs() -> bool:
     return config.obs_enabled()
 
 
-def _default_shards() -> int:
-    """Default shard count via :func:`repro.config.slice_shards`."""
-    return config.slice_shards()
-
-
 @dataclass(frozen=True)
 class SliceOptions:
     refine_cfg: bool = True
@@ -108,7 +95,6 @@ class SliceOptions:
     record_values: bool = True
     columnar: bool = True
     index: str = field(default_factory=_default_index)
-    shards: int = field(default_factory=_default_shards)
     slice_cache_size: int = 128
     closure_memo_size: int = 256
     obs: bool = field(default_factory=_default_obs)
@@ -121,8 +107,6 @@ class SliceOptions:
         if self.index not in SLICE_INDEXES:
             raise ValueError("index must be one of %r, got %r"
                              % (SLICE_INDEXES, self.index))
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1, got %r" % (self.shards,))
         if self.slice_cache_size < 0:
             raise ValueError("slice_cache_size must be >= 0")
         if self.closure_memo_size < 0:

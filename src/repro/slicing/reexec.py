@@ -62,7 +62,6 @@ from repro.pinplay.replayer import SyscallInjector, resume_machine
 from repro.slicing.global_trace import GlobalTraceError
 from repro.slicing.options import SliceOptions
 from repro.slicing.save_restore import SaveRestoreDetector
-from repro.slicing.shard import plan_boundaries
 from repro.slicing.slice import DynamicSlice, SliceNode
 from repro.slicing.trace import Instance, Location
 from repro.slicing.tracer import prime_jump_tables
@@ -449,7 +448,7 @@ class ReexecIndex:
         else:
             interval = max(1, config.checkpoint_interval())
             nwin = max(1, min(_MAX_SYNTH_WINDOWS, total // interval))
-            interiors = plan_boundaries(total, nwin)
+            interiors = [total * i // nwin for i in range(1, nwin)]
             by_steps = {}
             synthesize = True
         bounds = [0] + interiors + [total]

@@ -50,9 +50,9 @@ class BackwardSlicer:
         self._ddg: Optional[DependenceIndex] = None
         if self.index in ("ddg", "reexec"):
             # "reexec" here means a reexec session fell back to the
-            # materialized pipeline (sharded build, exclusion pinball,
-            # legacy engine, undecodable program); the ddg engine answers
-            # with identical bytes, so the fallback is transparent.
+            # materialized pipeline (exclusion pinball, legacy engine,
+            # undecodable program); the ddg engine answers with identical
+            # bytes, so the fallback is transparent.
             # The DDG engine builds its own flat edge columns (lazily, on
             # the first query); the LP block summaries are scan-only.
             self.blocks: List[TraceBlock] = []

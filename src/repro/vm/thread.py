@@ -102,8 +102,8 @@ class ThreadContext:
                 for f in self.frames
             ],
             "next_frame_id": self._next_frame_id,
-            # Mid-region snapshots (checkpoints, shard boundaries) may be
-            # taken after this thread exited; a later ``join`` must still
+            # Mid-region snapshots (checkpoints, reexec window starts) may
+            # be taken after this thread exited; a later ``join`` must still
             # observe the recorded exit value.
             "exit_value": self.exit_value,
         }

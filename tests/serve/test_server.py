@@ -91,8 +91,8 @@ class TestServiceVerbs:
     def test_races_finds_the_lost_update(self, server, client):
         _live, key, _source = server
         result = client.races(key)
-        assert result["race_count"] >= 1
-        assert any("x" in row["description"] for row in result["races"])
+        assert result["finding_count"] >= 1
+        assert any("x" in row["description"] for row in result["findings"])
 
     def test_build(self, server, client):
         _live, key, _source = server
@@ -136,7 +136,43 @@ class TestStoreVerbs:
         assert stats["bytes_stored"] > 0
 
 
+#: Malformed requests that fail inside a worker: (verb, params, code).
+#: The worker stamps the same code the server's in-process error table
+#: gives, so none of them may surface as ``INTERNAL_ERROR``.
+WORKER_ERRORS = [
+    pytest.param("slice", {"index": "quantum"}, rpc.INVALID_PARAMS,
+                 id="slice-unknown-index"),
+    pytest.param("build", {"index": "quantum"}, rpc.INVALID_PARAMS,
+                 id="build-unknown-index"),
+    pytest.param("slice", {"global_name": "nope"}, rpc.INVALID_PARAMS,
+                 id="unknown-global"),
+    pytest.param("slice", {"global_name": "x", "tid": 0},
+                 rpc.INVALID_PARAMS, id="global-never-written-by-tid"),
+    pytest.param("slice", {"line": "abc"}, rpc.INVALID_PARAMS,
+                 id="non-integer-line"),
+    pytest.param("last_reads", {"count": "many"}, rpc.INVALID_PARAMS,
+                 id="non-integer-count"),
+    pytest.param("slice", {"instance": ["a", "b"]}, rpc.INVALID_PARAMS,
+                 id="non-integer-instance"),
+    pytest.param("slice", {"line": 9999}, rpc.INVALID_PARAMS,
+                 id="never-executed-line"),
+    pytest.param("slice", {"instance": [0, 10 ** 9]}, rpc.NOT_FOUND,
+                 id="instance-past-end"),
+    pytest.param("last_reads", {"count": -3}, rpc.INVALID_PARAMS,
+                 id="negative-count"),
+]
+
+
 class TestErrors:
+    @pytest.mark.parametrize("verb,params,code", WORKER_ERRORS)
+    def test_worker_side_errors_are_typed(self, server, client, verb,
+                                          params, code):
+        _live, key, _source = server
+        with pytest.raises(rpc.RpcRemoteError) as excinfo:
+            client.call(verb, dict(params, key=key))
+        assert excinfo.value.code == code, excinfo.value.remote_message
+        assert client.ping()["pong"] is True
+
     def test_unknown_key_is_not_found(self, client):
         with pytest.raises(rpc.RpcRemoteError) as excinfo:
             client.replay("0" * 64)

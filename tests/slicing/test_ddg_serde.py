@@ -23,10 +23,13 @@ SEED = 7
 
 @pytest.fixture(scope="module")
 def built():
-    """One cold session with its DDG index built, plus the frozen blob."""
+    """One cold session with its DDG index built, plus the frozen blob.
+
+    The index is pinned to ``ddg`` so a ``REPRO_SLICE_INDEX`` CI rider
+    cannot swap in an engine that builds no dependence index."""
     program = build_program(SEED)
     pinball = record_pinball(program, SEED)
-    options = SliceOptions()
+    options = SliceOptions(index="ddg")
     session = SlicingSession(pinball, program, options)
     index = session.slicer.ddg
     fingerprint = options_fingerprint(options)
@@ -40,10 +43,10 @@ class TestFingerprint:
                 == options_fingerprint(SliceOptions()))
 
     def test_build_strategy_fields_are_excluded(self):
-        """Sharded / row-store / cache-tuned builds share one entry."""
+        """Row-store / cache-tuned builds share one entry."""
         base = options_fingerprint(SliceOptions())
         assert options_fingerprint(SliceOptions(
-            shards=4, columnar=False, slice_cache_size=1)) == base
+            columnar=False, slice_cache_size=1)) == base
 
     def test_graph_semantic_fields_change_it(self):
         base = options_fingerprint(SliceOptions())
@@ -100,6 +103,21 @@ class TestRoundTrip:
         before = frozen.cache_hits
         frozen.slice(criterion)
         assert frozen.cache_hits == before + 1
+
+    def test_warm_session_last_reads_match_cold(self, built):
+        """A warm-started session answers ``last_reads`` like a cold one
+        for every read count, and rejects a negative one."""
+        program, pinball, options, _, fingerprint, blob = built
+        cold = SlicingSession(pinball, program, options)
+        warm = SlicingSession.from_frozen_index(
+            pinball, program,
+            deserialize_index(blob, options=options,
+                              fingerprint=fingerprint),
+            options=options)
+        for count in (0, 5, cold.trace_record_count() + 1):
+            assert warm.last_reads(count) == cold.last_reads(count), count
+        with pytest.raises(ValueError):
+            warm.last_reads(-3)
 
     def test_stats_flag_frozen(self, built):
         _, _, options, _, fingerprint, blob = built

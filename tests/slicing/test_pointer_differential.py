@@ -1,15 +1,14 @@
 """10-seed differential over the struct/pointer corpus: every slice
-index, shard count and pinball format agrees byte-for-byte.
+index and pinball format agrees byte-for-byte.
 
 The pointer band stresses what the flat corpus cannot: heap addresses
 from ``new`` flowing through ``->`` loads (so memory dependences chain
 through pointer registers), recursive call frames, ``delete``'s
 allocator effects, and struct-value locals.  For each seed and pinball
-format the ``ddg``/``shards=1`` build is the reference; the sharded
-build, both alternative index layouts (``columnar``, ``rows``) and the
-on-demand re-execution engine (``reexec``, unsharded by design) must
-produce canonically identical slices and byte-identical relogged
-slice pinballs."""
+format the ``ddg`` build is the reference; both alternative index
+layouts (``columnar``, ``rows``) and the on-demand re-execution engine
+(``reexec``) must produce canonically identical slices and
+byte-identical relogged slice pinballs."""
 
 import json
 
@@ -23,17 +22,8 @@ SEEDS = list(range(10))
 FORMATS = ("v1", "v2")
 V2_CHECKPOINT_INTERVAL = 64
 
-#: (index, shards) combos checked against the ddg/shards=1 reference.
-#: reexec answers queries by targeted re-replay over the whole pinball,
-#: so it has no sharded variant.
-COMBOS = [
-    ("ddg", 2),
-    ("columnar", 1),
-    ("columnar", 2),
-    ("rows", 1),
-    ("rows", 2),
-    ("reexec", 1),
-]
+#: Index layouts checked against the ddg reference.
+INDEXES = ("columnar", "rows", "reexec")
 
 
 def _record(seed, fmt):
@@ -46,9 +36,8 @@ def _record(seed, fmt):
     return program, pinball
 
 
-def _session(program, pinball, index, shards):
-    session = SlicingSession(pinball, program,
-                             SliceOptions(index=index, shards=shards),
+def _session(program, pinball, index):
+    session = SlicingSession(pinball, program, SliceOptions(index=index),
                              engine="predecoded")
     if index == "reexec":
         assert session._reexec is not None, "reexec session fell back"
@@ -82,7 +71,7 @@ def _queries(session):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_pointer_corpus_differential(seed, fmt):
     program, pinball = _record(seed, fmt)
-    reference = _session(program, pinball, "ddg", 1)
+    reference = _session(program, pinball, "ddg")
     queries = _queries(reference)
     assert queries, "pointer corpus program produced no slice criteria"
     expected = {criterion: _canonical(reference.slice_for(criterion, locs))
@@ -90,21 +79,21 @@ def test_pointer_corpus_differential(seed, fmt):
     ref_pb = reference.make_slice_pinball(
         reference.slice_for(*queries[0])).to_bytes(compress=False)
 
-    for index, shards in COMBOS:
-        session = _session(program, pinball, index, shards)
+    for index in INDEXES:
+        session = _session(program, pinball, index)
         assert _queries(session) == queries, (
-            "criterion helpers disagree (seed=%d fmt=%s %s/%d)"
-            % (seed, fmt, index, shards))
+            "criterion helpers disagree (seed=%d fmt=%s %s)"
+            % (seed, fmt, index))
         for criterion, locations in queries:
             got = _canonical(session.slice_for(criterion, locations))
             assert got == expected[criterion], (
-                "slice bytes differ (seed=%d fmt=%s %s/%d criterion=%r)"
-                % (seed, fmt, index, shards, criterion))
+                "slice bytes differ (seed=%d fmt=%s %s criterion=%r)"
+                % (seed, fmt, index, criterion))
         got_pb = session.make_slice_pinball(
             session.slice_for(*queries[0])).to_bytes(compress=False)
         assert got_pb == ref_pb, (
-            "slice-pinball bytes differ (seed=%d fmt=%s %s/%d)"
-            % (seed, fmt, index, shards))
+            "slice-pinball bytes differ (seed=%d fmt=%s %s)"
+            % (seed, fmt, index))
 
 
 @pytest.mark.parametrize("seed", SEEDS[::3])
@@ -113,8 +102,8 @@ def test_formats_agree_with_each_other(seed):
     (the stream container changes the carrier, not the content)."""
     program_v1, pinball_v1 = _record(seed, "v1")
     program_v2, pinball_v2 = _record(seed, "v2")
-    s1 = _session(program_v1, pinball_v1, "ddg", 1)
-    s2 = _session(program_v2, pinball_v2, "ddg", 1)
+    s1 = _session(program_v1, pinball_v1, "ddg")
+    s2 = _session(program_v2, pinball_v2, "ddg")
     q1, q2 = _queries(s1), _queries(s2)
     assert q1 == q2
     for (criterion, locations), _ in zip(q1, q2):

@@ -12,7 +12,7 @@ Over the shared randomized corpus (:mod:`tests.support.progen`, ≥12
 seeds) and both pinball formats —
 
 * **v1** (monolithic, no embedded checkpoints → reexec synthesizes its
-  own window boundaries with a scout replay), and
+  own window boundaries during its scaffold replay), and
 * **v2** (streamed container recorded with a small checkpoint interval →
   many genuine embedded-checkpoint windows),
 
@@ -105,10 +105,17 @@ def test_reexec_matches_ddg(seed, fmt):
     program, pinball = _record(seed, fmt)
     ddg, reexec = _sessions(program, pinball)
 
-    # The criterion helpers must agree before any slicing happens.
+    # The criterion helpers must agree before any slicing happens, for
+    # every read count up to past the region's last read; a negative
+    # count is rejected by both engines.
     queries = _queries(ddg)
     assert queries, "corpus program produced no slice criteria"
     assert queries == _queries(reexec)
+    for count in (0, 5, ddg.trace_record_count() + 1):
+        assert ddg.last_reads(count) == reexec.last_reads(count), count
+    for session in (ddg, reexec):
+        with pytest.raises(ValueError):
+            session.last_reads(-3)
 
     for criterion, locations in queries:
         _assert_identical(

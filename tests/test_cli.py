@@ -209,7 +209,7 @@ class TestRaces:
         from repro.analysis.report import validate_report
         validate_report(payload)
         assert payload["kind"] == "races"
-        assert payload["race_count"] == payload["finding_count"]
+        assert payload["finding_count"] == len(payload["findings"]) >= 1
 
 
 #: Exit-code contract for the analysis verbs: 2 exactly when the

@@ -1,13 +1,11 @@
 """The public API surface: everything advertised exists and imports.
 
 Extended for the unified-surface redesign: the blessed top-level
-``__all__`` (including the serve client and the config resolver), the
-deprecated-alias shims (module ``__getattr__``) that must warn exactly
-once per use, and the ``repro.config`` precedence knobs.
+``__all__`` (including the serve client and the config resolver) and
+the ``repro.config`` precedence knobs.
 """
 
 import importlib
-import warnings
 
 import pytest
 
@@ -40,25 +38,11 @@ class TestTopLevel:
         assert repro.record is repro.record_region
 
     def test_config_is_the_resolver_module(self):
-        assert repro.config.slice_shards() >= 1
+        assert repro.config.serve_workers() >= 1
         assert repro.config.slice_index() in ("ddg", "columnar", "rows", "reexec")
 
 
 class TestDeprecatedAliases:
-    @pytest.mark.parametrize("old,new", sorted(
-        repro._DEPRECATED_ALIASES.items()))
-    def test_alias_warns_and_resolves(self, old, new):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = getattr(repro, old)
-        assert value is getattr(repro, new)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   and old in str(w.message) for w in caught)
-
-    def test_aliases_stay_out_of_all(self):
-        for old in repro._DEPRECATED_ALIASES:
-            assert old not in repro.__all__
-
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.definitely_not_an_api  # noqa: B018
@@ -68,7 +52,7 @@ SUBPACKAGES = [
     "repro.isa", "repro.lang", "repro.vm", "repro.pinplay",
     "repro.analysis", "repro.slicing", "repro.debugger", "repro.maple",
     "repro.detect", "repro.workloads", "repro.cli",
-    "repro.serve", "repro.obs", "repro.config", "repro.deprecation",
+    "repro.serve", "repro.obs", "repro.config",
 ]
 
 
@@ -100,10 +84,10 @@ class TestConfigKnobs:
             assert knob.coerce(knob.default, "default") == knob.default
 
     def test_precedence_explicit_beats_cli_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLICE_SHARDS", "3")
-        assert repro.config.slice_shards() == 3
-        assert repro.config.slice_shards(cli=5) == 5
-        assert repro.config.slice_shards(explicit=7, cli=5) == 7
+        monkeypatch.setenv("REPRO_SERVE_WORKERS", "3")
+        assert repro.config.serve_workers() == 3
+        assert repro.config.serve_workers(cli=5) == 5
+        assert repro.config.serve_workers(explicit=7, cli=5) == 7
 
     def test_invalid_env_raises_loudly(self, monkeypatch):
         monkeypatch.setenv("REPRO_SLICE_INDEX", "quantum")
@@ -140,7 +124,7 @@ class TestReportSchema:
             program, RandomScheduler(seed=1, switch_prob=0.3), RegionSpec())
         return program, pinball, detect_races(pinball, program)
 
-    def test_races_payload_validates_and_keeps_legacy_fields(self):
+    def test_races_payload_validates(self):
         from repro.analysis.report import (SCHEMA, SCHEMA_VERSION,
                                            races_report_payload,
                                            validate_report)
@@ -149,10 +133,7 @@ class TestReportSchema:
         validate_report(payload)
         assert payload["schema"] == SCHEMA
         assert payload["schema_version"] == SCHEMA_VERSION
-        # Legacy spellings ride along for one deprecation cycle and
-        # mirror the canonical fields exactly.
-        assert payload["race_count"] == payload["finding_count"]
-        assert payload["races"] == payload["findings"]
+        assert payload["finding_count"] == len(payload["findings"])
 
     def test_race_payload_wrapper_is_schema_shaped(self):
         from repro.analysis.report import races_report_payload
@@ -181,8 +162,7 @@ class TestReportSchema:
         payload = result.payload()
         validate_report(payload)
         assert payload["kind"] == "maple"
-        # Legacy integer spelling of the candidate count rides along.
-        assert payload["candidates"] == payload["candidate_count"]
+        assert payload["candidate_count"] == result.candidates
 
     def test_hunt_payload_validates(self):
         from repro.analysis.hunt import hunt
@@ -196,20 +176,6 @@ class TestReportSchema:
         for row in payload["findings"]:
             finding = HuntFinding.from_payload(row)
             assert finding.to_payload() == row
-
-    def test_deprecated_field_reads_old_spelling_with_warning(self):
-        from repro.deprecation import deprecated_field
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert deprecated_field({"race_count": 3}, "race_count",
-                                    "finding_count") == 3
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert deprecated_field({"finding_count": 4}, "race_count",
-                                    "finding_count") == 4
-        assert not caught
 
     def test_validate_report_rejects_malformed(self):
         from repro.analysis.report import validate_report
