@@ -98,11 +98,22 @@ class PerturbedScheduler(Scheduler):
         return self._tail.pick(runnable, last)
 
     def commit(self, tid: int) -> None:
+        self.commit_many(tid, 1)
+
+    def lease(self, tid: int) -> int:
+        """The rest of the current run; past the list, the tail's lease."""
+        runs = self._runs
+        if self._index < len(runs):
+            run_tid, count = runs[self._index]
+            return count - self._used if tid == run_tid else 0
+        return self._tail.lease(tid)
+
+    def commit_many(self, tid: int, n: int) -> None:
         runs = self._runs
         if self._index < len(runs) and tid == runs[self._index][0]:
-            self._used += 1
+            self._used += n
         else:
-            self._tail.commit(tid)
+            self._tail.commit_many(tid, n)
 
 
 # -- context / candidates -----------------------------------------------------

@@ -57,6 +57,10 @@ class OnlineRaceDetector(RaceDetectorTool):
         self._run_tid: Optional[int] = None
         self._run_count = 0
         self._mem_ops_cell = [0]
+        #: on_mem ignores every address outside [low, high), so the
+        #: machine skips the call for a one-address step outside it.
+        self.watch_window = (watch_low, watch_high if watch_high is not None
+                             else float("inf"))
         # on_mem fires once per memory-touching instruction on the hot
         # loop — build it as a closure so every collaborator is a cell
         # variable instead of a per-call attribute lookup.
@@ -100,9 +104,7 @@ class OnlineRaceDetector(RaceDetectorTool):
           ``(w_tid, w_clock)`` happened-before me iff
           ``w_clock <= my_times.get(w_tid, 0)``.
         """
-        low = self.watch_low
-        high = self.watch_high if self.watch_high is not None else \
-            float("inf")
+        low, high = self.watch_window
         clocks = self._clocks
         writes = self._writes
         reads = self._reads

@@ -224,14 +224,18 @@ class RaceDetectorTool(Tool):
             self._writes[addr] = (tid, now, event.addr, event.tindex)
 
     def _report(self, addr: int, kind: str, first, second) -> None:
-        report = RaceReport(
-            addr=addr, kind=kind,
-            first_pc=first[0], second_pc=second[0],
-            first_instance=first[1], second_instance=second[1])
-        key = report.site_pair()
-        if key not in self._seen_pairs:
-            self._seen_pairs.add(key)
-            self.races.append(report)
+        # The key is RaceReport.site_pair(), built before the report so
+        # that the many repeats of a known pair allocate nothing.
+        first_pc = first[0]
+        second_pc = second[0]
+        key = ((addr, first_pc, second_pc) if first_pc <= second_pc
+               else (addr, second_pc, first_pc))
+        if key in self._seen_pairs:
+            return
+        self._seen_pairs.add(key)
+        self.races.append(RaceReport(
+            addr=addr, kind=kind, first_pc=first_pc, second_pc=second_pc,
+            first_instance=first[1], second_instance=second[1]))
 
 
 def detect_races(pinball: Pinball, program: Program,

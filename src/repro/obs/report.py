@@ -77,10 +77,13 @@ def run_demo_cycle() -> dict:
 
         # Re-execution slicing: the same failure query answered by
         # checkpoint-bounded window re-replays over the pinball instead
-        # of a resident full trace (``--index reexec``).
+        # of a resident full trace (``--index reexec``).  The engine is
+        # pinned: under the legacy interpreter the session would fall
+        # back to the materialized pipeline and the layer stay dark.
         from repro.slicing import SliceOptions
         reexec = SlicingSession(pinball, program,
-                                SliceOptions(index="reexec"))
+                                SliceOptions(index="reexec"),
+                                engine="predecoded")
         reexec.slice_for(reexec.failure_criterion())
 
         # Detect + hunt: one online race-detection pass over the
@@ -116,8 +119,11 @@ def run_demo_cycle() -> dict:
             # Re-putting the identical recording dedups to the same key.
             store.put_pinball(pinball, meta={"source_sha": source_sha})
             manager = SessionManager(store, max_entries=2)
-            resident = manager.open(key, source_sha, "obs_demo")  # miss
-            manager.open(key, source_sha, "obs_demo")             # hit
+            # The index is pinned, not taken from the environment: only
+            # ddg sessions go through the index cache this layer shows.
+            resident = manager.open(key, source_sha, "obs_demo",
+                                    index="ddg")   # miss
+            manager.open(key, source_sha, "obs_demo", index="ddg")   # hit
             resident.slice_for(resident.failure_criterion())
             store.gc()   # nothing untagged; exercises the counter path
 

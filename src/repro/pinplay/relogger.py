@@ -331,7 +331,7 @@ class _SelectiveRelog:
     # -- the handler table -------------------------------------------------------
 
     def _build_table(self, program: Program, read) -> list:
-        fast_table, _traced, rec_table = decode_program(program)
+        fast_table, _traced, rec_table, _kinds = decode_program(program)
         threads = self.threads
         boundary = self.boundary
         syscall = self.syscall

@@ -30,7 +30,7 @@ from repro.obs.registry import OBS
 from repro.vm.errors import AssertionFailure, DeadlockError, VMError
 from repro.vm.hooks import InstrEvent, SyscallEvent, Tool
 from repro.vm.memory import ADDRESS_SPACE_TOP, STACK_SIZE, Memory
-from repro.vm.microops import MEM_OPCODES, decode_program
+from repro.vm.microops import KIND_SLOT, KIND_STOP, decode_program
 from repro.vm.scheduler import RoundRobinScheduler, Scheduler
 from repro.vm.syscalls import BLOCK, NONDET_SYSCALLS, SYSCALLS
 from repro.vm.thread import EXIT_SENTINEL, ThreadContext, ThreadStatus
@@ -41,11 +41,6 @@ Word = Union[int, float]
 #: closures (see :mod:`repro.vm.microops`); "legacy" is the seed
 #: if/elif interpreter, kept as the differential-testing baseline.
 ENGINES = ("predecoded", "legacy")
-
-#: Opcodes whose handlers can touch memory (SYS included because
-#: ``spawn`` writes the child's argument slot) — defined next to the
-#: record handlers they gate.
-_MEM_OPCODES = MEM_OPCODES
 
 
 def default_engine() -> str:
@@ -116,10 +111,11 @@ class Machine:
             raise VMError("unknown engine %r (expected one of %s)"
                           % (self.engine, ", ".join(ENGINES)))
         if self.engine == "predecoded":
-            (self._uops_fast, self._uops_traced,
-             self._uops_rec) = decode_program(program)
+            (self._uops_fast, self._uops_traced, self._uops_rec,
+             self._uops_kind) = decode_program(program)
         else:
             self._uops_fast = self._uops_traced = self._uops_rec = None
+            self._uops_kind = None
         self._code_len = len(self.instructions)
         #: Cached sorted runnable-tid list (predecoded engine only); None
         #: means stale.  Every thread-status mutation site invalidates it.
@@ -160,10 +156,10 @@ class Machine:
         self._last_tid: Optional[int] = None
         self._started = False
         self._cur_mem_writes: Optional[List[Tuple[int, Word]]] = None
-        #: Fast record path (see set_recorder): the recorder object and a
-        #: per-pc "can this instruction touch memory" bitmap.
+        #: Fast record path (see set_recorder): the recorder object and
+        #: the address window its on_mem watches.
         self._recorder = None
-        self._rec_mem_pc: Optional[List[bool]] = None
+        self._rec_window: Optional[Tuple[int, int]] = None
         self._rec_reads: List[int] = []
         self._rec_writes: List[int] = []
         #: Selective-trace path (see set_selective): a consumer-bound
@@ -220,17 +216,25 @@ class Machine:
         micro-op closures.  Requires the predecoded engine; the recorder
         must also be registered as a tool (for syscall/lifecycle events,
         which fire in untraced mode anyway).
+
+        A recorder may declare ``watch_window = (low, high)``, promising
+        that ``on_mem`` ignores every address outside ``[low, high)``.
+        The loop then skips the call for an instruction whose one
+        address (LD, ST, PUSH, POP, CALL, ICALL, RET) lies outside.
         """
         if recorder is None:
             self._recorder = None
-            self._rec_mem_pc = None
             return
         if self.engine != "predecoded":
             raise VMError("fast recording requires the predecoded engine")
         if self._excl_watch:
             raise VMError("cannot record over installed exclusions")
-        self._rec_mem_pc = [instr.op in _MEM_OPCODES
-                            for instr in self.instructions]
+        window = getattr(recorder, "watch_window", None)
+        if window is not None:
+            # Every address a step can touch lies in (0,
+            # ADDRESS_SPACE_TOP): clamping keeps the test on plain ints.
+            window = (max(window[0], 0), min(window[1], ADDRESS_SPACE_TOP))
+        self._rec_window = window
         # Scratch address lists reused across steps (cleared after each
         # on_mem delivery) — the record path allocates nothing per step.
         self._rec_reads: List[int] = []
@@ -425,7 +429,39 @@ class Machine:
                    for t in self.threads.values())
 
     def run(self, max_steps: Optional[int] = None) -> RunResult:
-        """Run until program end, exit/failure, ``max_steps``, or stop request."""
+        """Run until program end, exit/failure, ``max_steps``, or stop request.
+
+        Each scheduler step runs one instruction of the thread that
+        :meth:`Scheduler.pick <repro.vm.scheduler.Scheduler.pick>`
+        chose.  Steps the scheduler has already decided run as one
+        *batch*: after the picked step is committed,
+        :meth:`~repro.vm.scheduler.Scheduler.lease` says how many more
+        steps of the same thread follow, and an inner loop runs up to
+        that many through the step kind's handler table (untraced,
+        selective, or record plus ``recorder.on_mem``) with no pick,
+        commit or sleeper scan in between;
+        :meth:`~repro.vm.scheduler.Scheduler.commit_many` settles them
+        afterwards.  A one-step lease is a one-step batch.  A batch ends
+
+        * before a pc whose decoded kind carries ``KIND_STOP``: SYS,
+          HALT, an undecoded fallback shape, or an instruction that can
+          leave the code (see :mod:`repro.vm.microops`).  Such a pc only
+          ever runs as the picked first step of a batch;
+        * after a step that leaves the thread non-runnable (a RET to
+          the exit sentinel);
+        * at ``max_steps``, and at the recorder's next checkpoint step.
+
+        Every step is picked while per-instruction tools (the traced
+        :class:`~repro.vm.hooks.InstrEvent` path), step tools,
+        breakpoints or exclusion watches are attached, on the legacy
+        engine, and while any thread sleeps.  Batching changes nothing
+        observable: machine state, ``global_seq`` and instruction
+        counts, recorded schedules, access-order edges and checkpoints,
+        the :class:`RunResult`, the ``vm.*`` counters (plus
+        ``vm.steps_batched``, the steps run without a pick) and the state
+        an exception raised mid-batch leaves behind all equal the
+        per-step loop's.
+        """
         if not self._started:
             self._started = True
             self._index_tools()
@@ -435,23 +471,33 @@ class Machine:
                 for tool in self._lifecycle_tools:
                     tool.on_thread_start(tid, None, thread.pc, 0)
         steps = 0
-        retired = 0
+        idle = 0        # steps that retired nothing (blocked, skipped)
+        batched = 0     # steps run under a lease, without a pick
         reason = "done"
         predecoded = self.engine == "predecoded"
+        per_step = not predecoded or bool(self._instr_tools)
         step_thread = self._step_thread_uop if predecoded else self._step_thread
+        # Leases are asked for only where no tool watches single steps
+        # and the scheduler grants any; breakpoints, exclusion watches
+        # and sleepers are checked per pick below (they can come and go
+        # within a run).
+        lease_ok = (not per_step and not self._step_tools
+                    and type(self.scheduler).lease is not Scheduler.lease)
         # Fast record path: RLE schedule recording is inlined into this
         # loop (no per-step tool call), mem-order marking happens only on
         # instructions whose opcode can touch memory, and the recorder's
         # periodic checkpoint triggers on *step count* (global_seq can
         # jump past sleep fast-forwards and must not drive the interval).
         recorder = self._recorder
-        rec_on = (recorder is not None and predecoded
-                  and not self._instr_tools)
-        rec_tid = rec_count = rec_interval = rec_next = rec_base = 0
+        rec_on = recorder is not None and not per_step
+        rec_tid = rec_count = rec_interval = rec_ckpt = rec_base = 0
         rec_append = rec_on_mem = None
-        rec_mem_pc = uops_rec = uops_fast = None
-        rec_mr = rec_mw = None
+        uops_rec = rec_mr = rec_mw = None
+        rec_lo = rec_hi = 0
+        slot = -1
         code_len = self._code_len
+        uops_fast = self._uops_fast
+        kinds = self._uops_kind
         if rec_on:
             rec_tid = recorder._run_tid
             rec_count = recorder._run_count
@@ -459,18 +505,22 @@ class Machine:
             rec_on_mem = recorder.on_mem
             rec_interval = recorder.checkpoint_interval
             rec_base = recorder.steps_done
-            rec_next = recorder.next_checkpoint
-            rec_mem_pc = self._rec_mem_pc
+            # The value of ``steps`` at which the next checkpoint is due.
+            rec_ckpt = recorder.next_checkpoint - rec_base
+            if self._rec_window is not None:
+                # Only a windowed recorder's one-address steps are
+                # filtered; otherwise ``slot`` matches no kind.
+                rec_lo, rec_hi = self._rec_window
+                slot = KIND_SLOT
             uops_rec = self._uops_rec
-            uops_fast = self._uops_fast
             rec_mr = self._rec_reads
             rec_mw = self._rec_writes
-        # Selective-trace path (set_selective): like the record path, a
-        # dedicated per-pc handler table inlined into this loop; mutually
-        # exclusive with recording and with per-instruction tools.
+        # Selective-trace path (set_selective): a dedicated per-pc handler
+        # table standing in for the untraced one; mutually exclusive with
+        # recording and with per-instruction tools.
         uops_sel = self._uops_sel
-        sel_on = (uops_sel is not None and predecoded
-                  and not self._instr_tools and recorder is None)
+        sel_on = uops_sel is not None and not per_step and recorder is None
+        table = uops_sel if sel_on else uops_fast
         # Observability: one hoisted local; while disabled the per-step
         # cost is a single local-bool test (context-switch counting), and
         # everything else is aggregated from per-run deltas after the
@@ -494,6 +544,10 @@ class Machine:
         excl_watch = self._excl_watch
         scheduler_pick = scheduler.pick
         scheduler_commit = scheduler.commit
+        scheduler_lease = scheduler.lease
+        scheduler_commit_many = scheduler.commit_many
+        RUNNABLE = ThreadStatus.RUNNABLE
+        STOP = KIND_STOP
         while True:
             if self._exit_requested:
                 reason = "exit"
@@ -528,11 +582,11 @@ class Machine:
                 runnable = self._runnable_cache
                 if runnable is None:
                     runnable = [tid for tid, thread in sorted(threads.items())
-                                if thread.status == ThreadStatus.RUNNABLE]
+                                if thread.status == RUNNABLE]
                     self._runnable_cache = runnable
             else:
                 runnable = [tid for tid, thread in sorted(threads.items())
-                            if thread.status == ThreadStatus.RUNNABLE]
+                            if thread.status == RUNNABLE]
             if not runnable:
                 if self.finished:
                     reason = "done"
@@ -565,57 +619,115 @@ class Machine:
                 for tool in self._step_tools:
                     tool.on_step(tid)
                 steps += 1
+                idle += 1
                 self.global_seq += 1
                 continue
             scheduler_commit(tid)
             self._last_tid = tid
             for tool in self._step_tools:
                 tool.on_step(tid)
+            if per_step:
+                if not step_thread(thread):
+                    idle += 1
+                steps += 1
+                self.global_seq += 1
+                continue
+            pc = thread.pc
+            if not 0 <= pc < code_len:
+                raise VMError("pc out of range", tid=tid, pc=pc)
             if rec_on:
-                if tid == rec_tid and rec_count:
-                    rec_count += 1
-                else:
+                # A new RLE run starts (and the last one is handed over)
+                # before anything of this batch reaches the recorder.
+                if tid != rec_tid:
                     if rec_count:
                         rec_append(rec_tid, rec_count)
+                        rec_count = 0
                     rec_tid = tid
-                    rec_count = 1
                 # Machine state here is "after rec_base + steps steps":
                 # the pending step has been scheduled but not executed.
-                if rec_interval and rec_base + steps >= rec_next:
+                if rec_interval and steps >= rec_ckpt:
                     recorder.capture(self, rec_base + steps)
-                    rec_next = recorder.next_checkpoint
-                # The record step, inlined (see _step_thread_record for
-                # the readable form): untraced closures except where the
-                # opcode can touch memory, with every table a loop local.
-                pc = thread.pc
-                if not 0 <= pc < code_len:
-                    raise VMError("pc out of range", tid=tid, pc=pc)
-                if rec_mem_pc[pc]:
-                    if uops_rec[pc](self, thread, rec_mr, rec_mw):
-                        if rec_mr or rec_mw:
-                            rec_on_mem(tid, thread.instr_count,
-                                       rec_mr, rec_mw, pc)
-                            del rec_mr[:]
-                            del rec_mw[:]
-                        thread.instr_count += 1
-                        retired += 1
-                    elif rec_mr or rec_mw:   # defensive: blocked syscall
-                        del rec_mr[:]
-                        del rec_mw[:]
-                elif uops_fast[pc](self, thread):
-                    thread.instr_count += 1
-                    retired += 1
-            elif sel_on:
-                pc = thread.pc
-                if not 0 <= pc < code_len:
-                    raise VMError("pc out of range", tid=tid, pc=pc)
-                if uops_sel[pc](self, thread):
-                    thread.instr_count += 1
-                    retired += 1
-            elif step_thread(thread):
-                retired += 1
-            steps += 1
-            self.global_seq += 1
+                    rec_ckpt = recorder.next_checkpoint - rec_base
+            # The batch: this step, plus the leased ones after it, short
+            # of max_steps and of the recorder's next checkpoint.
+            kind = kinds[pc]
+            if kind >= STOP:
+                kind -= STOP
+                budget = 1
+            elif (lease_ok and not sleeping and not breakpoints
+                    and not excl_watch):
+                budget = 1 + scheduler_lease(tid)
+                if max_steps is not None and budget > max_steps - steps:
+                    budget = max_steps - steps
+                if rec_interval and budget > rec_ckpt - steps:
+                    budget = rec_ckpt - steps
+            else:
+                budget = 1
+            n = 1
+            if rec_on:
+                # Untraced closures except where the opcode can touch
+                # memory: those run their record micro-op and hand the
+                # touched addresses to the recorder.
+                try:
+                    while True:
+                        if kind:
+                            if uops_rec[pc](self, thread, rec_mr, rec_mw):
+                                if kind == slot:
+                                    # One address, in exactly one list.
+                                    addrs = rec_mr or rec_mw
+                                    if rec_lo <= addrs[0] < rec_hi:
+                                        rec_on_mem(tid, thread.instr_count,
+                                                   rec_mr, rec_mw, pc)
+                                    del addrs[:]
+                                elif rec_mr or rec_mw:
+                                    rec_on_mem(tid, thread.instr_count,
+                                               rec_mr, rec_mw, pc)
+                                    if rec_mr:
+                                        del rec_mr[:]
+                                    if rec_mw:
+                                        del rec_mw[:]
+                                thread.instr_count += 1
+                            else:
+                                idle += 1
+                        elif uops_fast[pc](self, thread):
+                            thread.instr_count += 1
+                        else:
+                            idle += 1
+                        self.global_seq += 1
+                        if n == budget or thread.status != RUNNABLE:
+                            break
+                        pc = thread.pc
+                        kind = kinds[pc]
+                        if kind >= STOP:
+                            break
+                        n += 1
+                except BaseException:
+                    if n > 1:
+                        scheduler_commit_many(tid, n - 1)
+                    raise
+                rec_count += n
+            else:
+                try:
+                    while True:
+                        if table[pc](self, thread):
+                            thread.instr_count += 1
+                        else:
+                            idle += 1
+                        self.global_seq += 1
+                        if n == budget or thread.status != RUNNABLE:
+                            break
+                        pc = thread.pc
+                        if kinds[pc] >= STOP:
+                            break
+                        n += 1
+                except BaseException:
+                    if n > 1:
+                        scheduler_commit_many(tid, n - 1)
+                    raise
+            if n > 1:
+                scheduler_commit_many(tid, n - 1)
+                batched += n - 1
+            steps += n
         if rec_on:
             recorder._run_tid = rec_tid
             recorder._run_count = rec_count
@@ -623,7 +735,7 @@ class Machine:
         if obs_on:
             OBS.add("vm.runs", 1)
             OBS.add("vm.steps", steps)
-            OBS.add("vm.instructions_retired", retired)
+            OBS.add("vm.instructions_retired", steps - idle)
             if self._instr_tools:
                 OBS.add("vm.steps_traced", steps)
             elif rec_on:
@@ -632,6 +744,7 @@ class Machine:
                 OBS.add("vm.steps_selective", steps)
             else:
                 OBS.add("vm.steps_untraced", steps)
+            OBS.add("vm.steps_batched", batched)
             OBS.add("vm.context_switches", obs_switches)
             skips = self.skipped_exclusions - obs_skips_before
             if skips:
@@ -640,7 +753,7 @@ class Machine:
                 OBS.add("vm.breakpoint_stops", 1)
         for tool in self.tools:
             tool.on_finish(self)
-        return RunResult(reason=reason, steps=steps, retired=retired,
+        return RunResult(reason=reason, steps=steps, retired=steps - idle,
                          failure=self.failure)
 
     def step_over_breakpoint(self) -> None:
@@ -738,23 +851,17 @@ class Machine:
         return True
 
     def _step_thread_uop(self, thread: ThreadContext) -> bool:
-        """Predecoded-engine step: one micro-op closure call per instruction.
+        """Predecoded-engine traced step: one micro-op closure call.
 
-        Untraced (no per-instruction tool attached): no def/use lists, no
-        event object — the handler mutates machine/thread state directly.
-        Traced: the handler appends def/use pairs in exactly the order the
+        The handler appends def/use pairs in exactly the order the
         legacy interpreter would, and the resulting
         :class:`~repro.vm.hooks.InstrEvent` is indistinguishable from the
-        seed engine's (the differential tests assert this).
+        seed engine's (the differential tests assert this).  Untraced,
+        selective and record steps run in :meth:`run`'s batch loop.
         """
         pc = thread.pc
         if not 0 <= pc < self._code_len:
             raise VMError("pc out of range", tid=thread.tid, pc=pc)
-        if not self._instr_tools:
-            if self._uops_fast[pc](self, thread):
-                thread.instr_count += 1
-                return True
-            return False
         reg_reads: List[Tuple[str, Word]] = []
         reg_writes: List[Tuple[str, Word]] = []
         mem_reads: List[Tuple[int, Word]] = []
@@ -799,39 +906,6 @@ class Machine:
             )
         for tool in self._instr_tools:
             tool.on_instr(event)
-        thread.instr_count += 1
-        return True
-
-    def _step_thread_record(self, thread: ThreadContext) -> bool:
-        """Fast-record step: untraced closures except where memory moves.
-
-        Instructions that cannot touch memory run through the untraced
-        fast closures exactly as a tool-free replay would; memory-capable
-        instructions run their record micro-op, which deposits bare
-        touched *addresses* (all the recorder's access-order edge
-        detection needs) into two scratch lists reused across steps.
-        """
-        pc = thread.pc
-        if not 0 <= pc < self._code_len:
-            raise VMError("pc out of range", tid=thread.tid, pc=pc)
-        if not self._rec_mem_pc[pc]:
-            if self._uops_fast[pc](self, thread):
-                thread.instr_count += 1
-                return True
-            return False
-        mem_reads = self._rec_reads
-        mem_writes = self._rec_writes
-        retired = self._uops_rec[pc](self, thread, mem_reads, mem_writes)
-        if not retired:
-            if mem_reads or mem_writes:     # defensive: blocked syscall
-                del mem_reads[:]
-                del mem_writes[:]
-            return False
-        if mem_reads or mem_writes:
-            self._recorder.on_mem(thread.tid, thread.instr_count,
-                                  mem_reads, mem_writes, pc)
-            del mem_reads[:]
-            del mem_writes[:]
         thread.instr_count += 1
         return True
 

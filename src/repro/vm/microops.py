@@ -2,7 +2,7 @@
 
 At :class:`~repro.vm.machine.Machine` construction the program's flat
 instruction list is compiled — once per :class:`~repro.isa.program.Program`,
-cached on the program object — into two parallel handler tables:
+cached on the program object — into parallel handler tables:
 
 * ``fast[pc](machine, thread) -> bool`` — the *untraced* path.  Operands,
   immediates, jump targets, register names and callee functions are
@@ -45,6 +45,18 @@ fall back to a closure that delegates to the machine's legacy
 ``_execute`` — decoding never changes observable behavior, including the
 error behavior of malformed operand combinations.
 
+Next to the handlers the decoder caches one *kind* per pc
+(``KIND_PLAIN``, ``KIND_MEM`` or ``KIND_SLOT``, plus ``KIND_STOP``).
+The machine's run loop executes the steps a scheduler has leased to one
+thread as a batch, a single inner loop over one of the tables above
+(:meth:`Machine.run <repro.vm.machine.Machine.run>`), and reads the kind
+once per step: the record loop picks the ``fast`` or ``rec`` closure by
+it, and every loop ends the batch before a ``KIND_STOP`` pc.  The stop
+set is SYS and HALT (their effects reach other threads, the exit flag and
+the global step clock), undecoded fallback shapes, and any instruction
+that can leave ``pc`` outside the code without raising.  A stop pc still
+runs, as the picked first step of a batch.
+
 The handler tables are keyed by the *identity* of ``program.instructions``
 so a relinked or mutated program is transparently re-decoded.
 """
@@ -82,17 +94,32 @@ _WRITING_MEM_OPCODES = frozenset((
 ))
 
 
+#: Per-pc step kinds (see the module docstring).  KIND_SLOT marks an
+#: opcode whose every execution touches exactly one address, which the
+#: record loop checks against the recorder's window; adding KIND_STOP
+#: marks a pc a run batch must end before (see _batch_stop).
+KIND_PLAIN, KIND_MEM, KIND_SLOT, KIND_STOP = 0, 1, 2, 3
+
+_ONE_SLOT_OPCODES = frozenset((
+    Opcode.LD, Opcode.ST, Opcode.PUSH, Opcode.POP,
+    Opcode.CALL, Opcode.ICALL, Opcode.RET,
+))
+
+
 def decode_program(program) -> Tuple[List[FastHandler], List[TracedHandler],
-                                     List[Optional[RecordHandler]]]:
-    """Return (and cache on ``program``) the fast/traced/record tables."""
+                                     List[Optional[RecordHandler]],
+                                     List[int]]:
+    """Return (and cache on ``program``) the fast/traced/record tables
+    and the per-pc step kinds."""
     cached = getattr(program, _CACHE_ATTR, None)
     if cached is not None and cached[0] is program.instructions:
-        return cached[1], cached[2], cached[3]
+        return cached[1:]
     instructions = program.instructions
     code_len = len(instructions)
     fast_table: List[FastHandler] = []
     traced_table: List[TracedHandler] = []
     rec_table: List[Optional[RecordHandler]] = []
+    kinds: List[int] = []
     for pc, instr in enumerate(instructions):
         try:
             fast, traced = _decode_instr(program, instr, pc, code_len)
@@ -100,16 +127,46 @@ def decode_program(program) -> Tuple[List[FastHandler], List[TracedHandler],
             # Unknown shape: preserve the seed interpreter's behavior
             # (including its runtime errors) by delegating per execution.
             fast, traced = _make_fallback(instr, pc)
+            stop = True
+        else:
+            stop = _batch_stop(instr, pc, code_len)
         fast_table.append(fast)
         traced_table.append(traced)
         rec_table.append(_record_handler(program, instr, pc, code_len,
                                          traced))
+        kind = (KIND_PLAIN if instr.op not in MEM_OPCODES
+                else KIND_SLOT if instr.op in _ONE_SLOT_OPCODES
+                else KIND_MEM)
+        kinds.append(kind + KIND_STOP if stop else kind)
+    tables = (fast_table, traced_table, rec_table, kinds)
     try:
-        setattr(program, _CACHE_ATTR,
-                (instructions, fast_table, traced_table, rec_table))
+        setattr(program, _CACHE_ATTR, (instructions,) + tables)
     except AttributeError:
         pass   # exotic program object without a __dict__; just don't cache
-    return fast_table, traced_table, rec_table
+    return tables
+
+
+def _batch_stop(instr: Instr, pc: int, code_len: int) -> bool:
+    """Must a run batch end before ``pc``?
+
+    True for SYS and HALT, whose effects reach past their own thread
+    (locks, spawns, sleeps, exits, the global step clock), and for an
+    instruction that can leave ``pc`` outside the code without raising
+    (a jump to a bad constant target, or falling off the end): a batch
+    never looks up the kind of a pc it cannot execute.  Fallback shapes
+    are flagged by the caller.
+    """
+    op = instr.op
+    if op == Opcode.SYS or op == Opcode.HALT:
+        return True
+    if op == Opcode.JMP:
+        return not 0 <= int(instr.operands[0].value) < code_len
+    if op == Opcode.BR or op == Opcode.BRZ:
+        return not (0 <= int(instr.operands[1].value) < code_len
+                    and pc + 1 < code_len)
+    if op in (Opcode.IJMP, Opcode.CALL, Opcode.ICALL, Opcode.RET):
+        return False    # the handler checks its target (or ends the thread)
+    return pc + 1 >= code_len
 
 
 def _make_fallback(instr: Instr, pc: int):
@@ -952,9 +1009,9 @@ def _decode_nop(next_pc: int):
 
 # -- record handlers ----------------------------------------------------------
 #
-# The fast record path (Machine._step_thread_record) only needs the memory
-# addresses an instruction touched, in access order — the recorder's edge
-# detection never looks at values.  Each handler is the untraced closure
+# The record loop of Machine.run only needs the memory addresses an
+# instruction touched, in access order — the recorder's edge detection
+# never looks at values.  Each handler is the untraced closure
 # plus a bare-int append; anything without a dedicated shape below wraps
 # its traced closure and strips the addresses out afterwards.
 

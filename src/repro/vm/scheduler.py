@@ -2,7 +2,9 @@
 
 The machine asks the scheduler for a tid before every instruction, so the
 interleaving is at single-instruction granularity — fine enough for any
-data race to manifest.  Schedulers provided:
+data race to manifest.  A scheduler that already knows it will keep
+picking the same thread says so through :meth:`Scheduler.lease`, and the
+machine then runs those steps without asking.  Schedulers provided:
 
 * :class:`RoundRobinScheduler` — deterministic quantum-based rotation.
 * :class:`RandomScheduler` — seeded random preemption; different seeds give
@@ -37,6 +39,24 @@ class Scheduler:
 
     def commit(self, tid: int) -> None:
         """The machine confirms ``tid`` actually took the step."""
+
+    def lease(self, tid: int) -> int:
+        """How many further steps of ``tid`` are already decided.
+
+        Asked right after ``commit(tid)``: the number of following picks
+        that return ``tid`` for as long as ``tid`` stays runnable,
+        whatever the other threads do.  The machine runs that many steps
+        in one batch without asking again (see :meth:`Machine.run
+        <repro.vm.machine.Machine.run>`) and reports them with
+        :meth:`commit_many`.  The default, 0, leaves every step to
+        :meth:`pick`: right for schedulers that draw a random number or
+        run a callback on each pick."""
+        return 0
+
+    def commit_many(self, tid: int, n: int) -> None:
+        """``n`` consecutive :meth:`commit` calls for ``tid``."""
+        for _ in range(n):
+            self.commit(tid)
 
     def attach(self, machine) -> None:
         """Called once by the machine that will use this scheduler.
@@ -89,6 +109,17 @@ class RoundRobinScheduler(Scheduler):
         else:
             self._current = tid
             self._remaining = self.quantum - 1
+
+    def lease(self, tid: int) -> int:
+        """The rest of ``tid``'s quantum."""
+        if tid == self._current and self._remaining > 0:
+            return self._remaining
+        return 0
+
+    def commit_many(self, tid: int, n: int) -> None:
+        if n > 0:
+            self.commit(tid)
+            self._remaining -= n - 1
 
 
 class RandomScheduler(Scheduler):
@@ -156,6 +187,19 @@ class RecordedScheduler(Scheduler):
             raise ReplayDivergence(
                 "commit of tid %d does not match schedule" % tid)
         self._remaining -= 1
+        if self._remaining == 0:
+            self._index += 1
+            self._advance()
+
+    def lease(self, tid: int) -> int:
+        """The rest of the current RLE run."""
+        return self._remaining if tid == self._cur_tid else 0
+
+    def commit_many(self, tid: int, n: int) -> None:
+        if tid != self._cur_tid or not 0 < n <= self._remaining:
+            super().commit_many(tid, n)   # commit() raises where due
+            return
+        self._remaining -= n
         if self._remaining == 0:
             self._index += 1
             self._advance()

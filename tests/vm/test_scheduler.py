@@ -1,7 +1,9 @@
 """Unit tests for the schedulers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.analysis.hunt import PerturbedScheduler
 from repro.vm.errors import ReplayDivergence
 from repro.vm.scheduler import (
     PriorityScheduler,
@@ -150,3 +152,69 @@ class TestScheduleRecorder:
         sched = RecordedScheduler(rec.runs)
         replayed = drive(sched, lambda s: [0, 1, 2], len(original))
         assert replayed == original
+
+
+def _step(scheduler, runnable, last):
+    """One pick/commit pair; a divergence is an outcome, not an error."""
+    try:
+        tid = scheduler.pick(runnable, last)
+    except ReplayDivergence as exc:
+        return "diverged: %s" % exc
+    scheduler.commit(tid)
+    return tid
+
+
+_TIDS = st.integers(0, 3)
+_RUNNABLE = st.sets(_TIDS, min_size=1).map(sorted)
+_LEASING = {
+    "recorded": lambda runs, quantum: RecordedScheduler(runs),
+    "round_robin": lambda runs, quantum: RoundRobinScheduler(quantum),
+    "perturbed": lambda runs, quantum: PerturbedScheduler(runs, quantum),
+}
+
+
+class TestLease:
+    """``lease(tid)`` steps are already decided: one ``commit_many`` of
+    them leaves a scheduler where that many pick/commit pairs would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(sorted(_LEASING)),
+           runs=st.lists(st.tuples(_TIDS, st.integers(1, 6)),
+                         min_size=1, max_size=12),
+           quantum=st.integers(1, 6),
+           prefix=st.lists(_RUNNABLE, max_size=20),
+           after=st.lists(_RUNNABLE, min_size=50, max_size=50))
+    def test_commit_many_equals_single_commits(self, kind, runs, quantum,
+                                               prefix, after):
+        leased = _LEASING[kind](runs, quantum)
+        stepped = _LEASING[kind](runs, quantum)
+        last = None
+        for runnable in prefix:
+            outcome = _step(leased, runnable, last)
+            assert _step(stepped, runnable, last) == outcome
+            if not isinstance(outcome, int):
+                return
+            last = outcome
+        if last is None:
+            return
+        count = leased.lease(last)
+        assert count >= 0 and stepped.lease(last) == count
+        leased.commit_many(last, count)
+        for runnable in after[:count]:
+            # Valid while ``last`` stays runnable: every pick returns it.
+            assert _step(stepped, sorted(set(runnable) | {last}),
+                         last) == last
+        for runnable in after:
+            outcome = _step(leased, runnable, last)
+            assert _step(stepped, runnable, last) == outcome
+            if not isinstance(outcome, int):
+                break
+            last = outcome
+
+    @given(seed=st.integers(0, 50), runnable=_RUNNABLE)
+    def test_random_and_priority_lease_nothing(self, seed, runnable):
+        for scheduler in (RandomScheduler(seed=seed, switch_prob=0.1),
+                          PriorityScheduler({tid: -tid for tid in runnable})):
+            tid = scheduler.pick(runnable, None)
+            scheduler.commit(tid)
+            assert scheduler.lease(tid) == 0
