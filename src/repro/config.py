@@ -35,7 +35,6 @@ environment variable      resolver                   type        default
 ``REPRO_CHECKPOINT_INTERVAL``  :func:`checkpoint_interval`  int >= 1  ``500``
 ``REPRO_INDEX_CACHE``     :func:`index_cache`        bool        ``True``
 ``REPRO_ROUTER_NODES``    :func:`router_nodes`       str         ``""``
-``REPRO_DETECT_ONLINE``   :func:`detect_online`      bool        ``True``
 ``REPRO_HUNT_WORKERS``    :func:`hunt_workers`       int >= 1    ``2``
 ``REPRO_HUNT_BUDGET``     :func:`hunt_budget`        int >= 1    ``24``
 ========================  =========================  ==========  =======
@@ -65,7 +64,6 @@ __all__ = [
     "KNOBS",
     "Knob",
     "checkpoint_interval",
-    "detect_online",
     "engine",
     "hunt_budget",
     "hunt_workers",
@@ -174,9 +172,6 @@ KNOBS: Dict[str, Knob] = {
         Knob("router_nodes", "REPRO_ROUTER_NODES", "", _identity,
              doc="comma-separated host:port serve nodes for `repro "
                  "router`"),
-        Knob("detect_online", "REPRO_DETECT_ONLINE", True, _parse_bool,
-             doc="race detection rides the untraced fast path when the "
-                 "pinball allows it"),
         Knob("hunt_workers", "REPRO_HUNT_WORKERS", 2, _parse_int,
              _positive,
              doc="parallel candidate-evaluation lanes for served hunts"),
@@ -262,14 +257,6 @@ def router_nodes(explicit: Optional[str] = None,
     """Comma-separated ``host:port`` list of serve nodes behind
     ``repro router`` (empty = must be given on the command line)."""
     return resolve("router_nodes", explicit, cli)
-
-
-def detect_online(explicit: Optional[bool] = None,
-                  cli: Optional[bool] = None) -> bool:
-    """Whether :func:`repro.detect.detect_races` rides the untraced
-    fast path (default True; falls back to the traced detector for
-    pinballs that cannot, e.g. slice pinballs)."""
-    return resolve("detect_online", explicit, cli)
 
 
 def hunt_workers(explicit: Optional[int] = None,

@@ -21,7 +21,7 @@ observes the identical program state — the cyclic-debugging guarantee.
 """
 
 from repro.debugger.breakpoints import Breakpoint, BreakpointTable
-from repro.debugger.checkpoints import Checkpoint, CheckpointManager
+from repro.debugger.checkpoints import CheckpointManager
 from repro.debugger.session import DrDebugSession
 from repro.debugger.commands import DrDebugCLI
 from repro.debugger.navigator import SliceNavigator
@@ -29,7 +29,6 @@ from repro.debugger.navigator import SliceNavigator
 __all__ = [
     "Breakpoint",
     "BreakpointTable",
-    "Checkpoint",
     "CheckpointManager",
     "DrDebugCLI",
     "DrDebugSession",

@@ -7,14 +7,21 @@ check-pointing feature can be much more efficient than using operating
 system features."  This module implements exactly that scheme:
 
 * while the debugger replays a pinball forward, a
-  :class:`CheckpointManager` snapshots the full architectural state every
-  ``interval`` scheduler steps (plus the replay bookkeeping a restart
-  needs: schedule position, syscall-injection cursors, the step clock,
-  output length, exclusion-arrival counters);
-* a reverse command rewinds to the latest checkpoint at or before the
-  target step and replays forward the remaining distance — determinism
-  guarantees the machine arrives in the *identical* state it had when it
-  first passed that step.
+  :class:`CheckpointManager` captures a live checkpoint every
+  ``interval`` scheduler steps — an
+  :class:`~repro.pinplay.format_v2.EmbeddedCheckpoint` whose body is
+  :func:`~repro.pinplay.format_v2.capture_state`'s, the same shape a v2
+  recording embeds (a slice pinball's replay adds its
+  exclusion-arrival counters);
+* a reverse command rewinds to the latest checkpoint, live or embedded,
+  at or before the target step, and
+  :func:`~repro.pinplay.replayer.resume_machine` — the one builder of
+  replay machines — restores it and replays forward the remaining
+  distance.  Determinism guarantees the machine arrives in the
+  *identical* state it had when it first passed that step.
+
+The manager holds only the debugger's own policy: when a live capture
+is due, and which checkpoint is nearest.
 
 Cost model: one reverse command costs at most ``interval`` forward steps
 of re-execution, against ``interval``-granularity snapshot memory — the
@@ -24,106 +31,56 @@ same trade every checkpointing reverse debugger makes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.isa.program import Program
 from repro.obs.registry import OBS
+from repro.pinplay.format_v2 import EmbeddedCheckpoint, capture_state
 from repro.pinplay.pinball import Pinball
-from repro.pinplay.replayer import SyscallInjector
-from repro.vm.machine import Machine, MachineSnapshot
-from repro.vm.scheduler import RecordedScheduler
-
-
-class Checkpoint:
-    """Everything needed to restart replay from one point."""
-
-    __slots__ = ("steps_done", "snapshot", "injector_consumed",
-                 "global_seq", "output", "excl_arrivals", "instr_counts")
-
-    def __init__(self, steps_done: int, snapshot: dict,
-                 injector_consumed: Dict[int, int], global_seq: int,
-                 output: list, excl_arrivals: Dict[Tuple[int, int], int],
-                 instr_counts: Optional[Dict[int, int]] = None) -> None:
-        self.steps_done = steps_done
-        self.snapshot = snapshot
-        self.injector_consumed = injector_consumed
-        self.global_seq = global_seq
-        self.output = output
-        self.excl_arrivals = excl_arrivals
-        self.instr_counts = instr_counts
-
-
-def remaining_schedule(schedule, steps_done: int):
-    """The RLE schedule suffix after ``steps_done`` steps.
-
-    Reference implementation: walks the full RLE schedule — O(|schedule|)
-    per call.  :class:`CheckpointManager` precomputes prefix sums once and
-    binary-searches the resume point instead (every rewind builds a
-    resumed scheduler, so this sits on the reverse-command hot path).
-    """
-    remaining = []
-    to_skip = steps_done
-    for tid, count in schedule:
-        if to_skip >= count:
-            to_skip -= count
-            continue
-        remaining.append((tid, count - to_skip))
-        to_skip = 0
-    return remaining
+from repro.pinplay.replayer import SyscallInjector, resume_machine
+from repro.vm.machine import Machine
 
 
 class CheckpointManager:
-    """Owns the checkpoints of one replayed pinball."""
+    """Owns the live checkpoints of one replayed pinball."""
 
     def __init__(self, pinball: Pinball, program: Program,
-                 interval: int = 500) -> None:
+                 interval: int) -> None:
         if interval < 1:
             raise ValueError("checkpoint interval must be >= 1")
         self.pinball = pinball
         self.program = program
         self.interval = interval
-        self._checkpoints: List[Checkpoint] = []
-        #: Decoded forms of checkpoints embedded in the pinball itself
-        #: (format v2): free rewind targets that exist before the session
-        #: replays anything, which is what collapses the
-        #: debugger.resume_distance histogram for fresh sessions.
-        #: Selection goes through :meth:`Pinball.nearest_checkpoint`
-        #: (the shared cached-bisect index); bodies are materialized
-        #: (decoded) lazily, at most once each.
-        self._embedded_cache: Dict[int, Checkpoint] = {}
-        #: Cumulative step counts of the RLE schedule runs: prefix[i] =
-        #: steps retired once run i is fully consumed.  Computed once; a
-        #: rewind binary-searches its resume run instead of re-walking
-        #: the whole schedule.
-        self._sched_prefix: List[int] = list(
-            accumulate(count for _tid, count in pinball.schedule))
+        #: Live checkpoints in ascending step order (a rewind drops the
+        #: ones past its target before replay captures new ones), with
+        #: their steps alongside for bisecting.
+        self._checkpoints: List[EmbeddedCheckpoint] = []
+        self._steps: List[int] = []
+        # Index the embedded checkpoints (O(frames)) while arming, not in
+        # the first rewind or step, which should cost one interval of
+        # replay whatever the region length.
+        pinball.nearest_checkpoint(0)
 
     def __len__(self) -> int:
         return len(self._checkpoints)
 
     def clear(self) -> None:
         self._checkpoints = []
+        self._steps = []
 
     # -- capture -------------------------------------------------------------
 
     def capture(self, machine: Machine, injector: SyscallInjector,
-                steps_done: int) -> Checkpoint:
+                steps_done: int) -> EmbeddedCheckpoint:
         """Snapshot the replay at ``steps_done`` (idempotent per step)."""
-        if (self._checkpoints
-                and self._checkpoints[-1].steps_done == steps_done):
+        if self._steps and self._steps[-1] == steps_done:
             return self._checkpoints[-1]
-        checkpoint = Checkpoint(
-            steps_done=steps_done,
-            snapshot=machine.snapshot().to_dict(),
-            injector_consumed=injector.consumed(),
-            global_seq=machine.global_seq,
-            output=list(machine.output),
-            excl_arrivals=dict(machine._excl_arrivals),
-            instr_counts={tid: thread.instr_count
-                          for tid, thread in machine.threads.items()},
-        )
+        checkpoint = EmbeddedCheckpoint(
+            steps_done, machine.global_seq,
+            body=capture_state(machine, injector.consumed(),
+                               machine.output))
         self._checkpoints.append(checkpoint)
+        self._steps.append(steps_done)
         OBS.add("debugger.checkpoints_captured", 1)
         return checkpoint
 
@@ -134,94 +91,32 @@ class CheckpointManager:
         within ``interval`` steps behind, a live capture would be
         redundant snapshot memory.
         """
-        last = (self._checkpoints[-1].steps_done
-                if self._checkpoints else None)
-        embedded = self.pinball.nearest_checkpoint(steps_done)
-        if embedded is not None:
-            last = (embedded.steps_done if last is None
-                    else max(last, embedded.steps_done))
-        if last is None:
-            return True
-        return steps_done - last >= self.interval
+        nearest = self.latest_at_or_before(steps_done)
+        return (nearest is None
+                or steps_done - nearest.steps_done >= self.interval)
 
-    # -- restore -------------------------------------------------------------------
+    # -- restore -------------------------------------------------------------
 
-    def _materialize(self, embedded) -> Checkpoint:
-        """Decode one embedded checkpoint into live-checkpoint form
-        (exclusion pinballs never embed checkpoints, so no arrivals)."""
-        checkpoint = self._embedded_cache.get(embedded.steps_done)
-        if checkpoint is None:
-            body = embedded.body()
-            checkpoint = Checkpoint(
-                steps_done=embedded.steps_done,
-                snapshot=body["snapshot"],
-                injector_consumed=body["consumed"],
-                global_seq=embedded.global_seq,
-                output=list(body["output"]),
-                excl_arrivals={},
-                instr_counts=body["instr_counts"],
-            )
-            self._embedded_cache[embedded.steps_done] = checkpoint
-            OBS.add("debugger.embedded_checkpoints_used", 1)
-        return checkpoint
-
-    def latest_at_or_before(self, target_steps: int) -> Optional[Checkpoint]:
-        best = None
-        for checkpoint in self._checkpoints:
-            if checkpoint.steps_done <= target_steps:
-                best = checkpoint
-            else:
-                break
+    def latest_at_or_before(self, target_steps: int
+                            ) -> Optional[EmbeddedCheckpoint]:
+        """The nearest checkpoint, live or embedded, at or before
+        ``target_steps`` (None when neither list has one that early)."""
+        index = bisect_right(self._steps, target_steps)
+        best = self._checkpoints[index - 1] if index else None
         embedded = self.pinball.nearest_checkpoint(target_steps)
         if embedded is not None and (
                 best is None or embedded.steps_done > best.steps_done):
-            best = self._materialize(embedded)
+            best = embedded
         return best
 
     def drop_after(self, steps: int) -> None:
-        """Forget checkpoints past ``steps`` (after rewinding)."""
-        self._checkpoints = [c for c in self._checkpoints
-                             if c.steps_done <= steps]
+        """Forget live checkpoints past ``steps`` (after rewinding)."""
+        index = bisect_right(self._steps, steps)
+        del self._checkpoints[index:]
+        del self._steps[index:]
 
-    def _remaining_schedule(self, steps_done: int):
-        """Prefix-sum + binary-search twin of :func:`remaining_schedule`:
-        O(log |schedule|) per rewind instead of a full RLE walk."""
-        schedule = self.pinball.schedule
-        if steps_done <= 0:
-            return list(schedule)
-        prefix = self._sched_prefix
-        # First run whose cumulative step count exceeds steps_done; runs
-        # consumed exactly (prefix == steps_done) are skipped entirely.
-        index = bisect_right(prefix, steps_done)
-        if index >= len(schedule):
-            return []
-        consumed_before = prefix[index - 1] if index else 0
-        tid, count = schedule[index]
-        return ([(tid, count - (steps_done - consumed_before))]
-                + list(schedule[index + 1:]))
-
-    def restore(self, checkpoint: Checkpoint
+    def restore(self, checkpoint: EmbeddedCheckpoint
                 ) -> Tuple[Machine, SyscallInjector]:
-        """Build a machine resumed exactly at the checkpoint."""
+        """A machine resumed exactly at the checkpoint."""
         OBS.add("debugger.checkpoints_restored", 1)
-        scheduler = RecordedScheduler(
-            self._remaining_schedule(checkpoint.steps_done))
-        injector = SyscallInjector(self.pinball.syscalls)
-        injector.rewind_to(checkpoint.injector_consumed)
-        machine = Machine.from_snapshot(
-            self.program, MachineSnapshot.from_dict(checkpoint.snapshot),
-            scheduler=scheduler, syscall_injector=injector.inject)
-        machine.global_seq = checkpoint.global_seq
-        machine.output = list(checkpoint.output)
-        if checkpoint.instr_counts:
-            # Machine snapshots do not carry per-thread retired-instruction
-            # counters; restore them so region-relative tindexes stay
-            # correct after a rewind.
-            for tid, count in checkpoint.instr_counts.items():
-                thread = machine.threads.get(tid)
-                if thread is not None:
-                    thread.instr_count = count
-        if self.pinball.exclusions:
-            machine.install_exclusions(self.pinball.exclusions)
-            machine._excl_arrivals = dict(checkpoint.excl_arrivals)
-        return machine, injector
+        return resume_machine(self.pinball, self.program, checkpoint)

@@ -5,6 +5,11 @@ Supported commands (a superset of what the paper's GDB extension adds)::
     break <func> | break <line> | break <func>:<line>
     delete <n> | disable <n> | enable <n> | info break
     run | continue | c | stepi [n] | si [n] | step | s
+    record-on [n]                  arm reverse debugging, a checkpoint
+                                    every n steps (default: the
+                                    REPRO_CHECKPOINT_INTERVAL knob)
+    reverse-stepi [n] | rsi [n] | reverse-step | rs
+    reverse-continue | rc          back to the previous breakpoint hit
     print <var> | p <var>          (locals of the focused frame, globals,
                                     and <arr>[<const>])
     info threads | thread <tid> | backtrace | bt | where
@@ -140,8 +145,8 @@ class DrDebugCLI:
     # -- reverse execution -------------------------------------------------------
 
     def _cmd_record_on(self, args: List[str]) -> str:
-        interval = int(args[0]) if args else 500
-        self.session.enable_reverse_debugging(interval)
+        interval = self.session.enable_reverse_debugging(
+            int(args[0]) if args else None)
         return ("reverse debugging enabled (checkpoints every %d steps); "
                 "takes effect from the next run/restart" % interval)
 

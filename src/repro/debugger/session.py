@@ -22,13 +22,12 @@ from repro.debugger.checkpoints import CheckpointManager
 from repro.isa.program import Program
 from repro.obs.registry import OBS
 from repro.pinplay.pinball import Pinball
-from repro.pinplay.replayer import SyscallInjector
+from repro.pinplay.replayer import SyscallInjector, resume_machine
 from repro.slicing.api import SlicingSession
 from repro.slicing.options import SliceOptions
 from repro.slicing.slice import DynamicSlice
-from repro.vm.errors import ReplayDivergence, VMError
-from repro.vm.machine import Machine, MachineSnapshot
-from repro.vm.scheduler import RecordedScheduler
+from repro.vm.errors import VMError
+from repro.vm.machine import Machine
 from repro.vm.thread import ThreadStatus
 
 Word = Union[int, float]
@@ -36,6 +35,11 @@ Word = Union[int, float]
 
 class DebuggerError(Exception):
     """User-level command errors (unknown variable, not running, ...)."""
+
+
+def _require_count(count: int) -> None:
+    if count < 0:
+        raise DebuggerError("step count must be >= 0, got %d" % count)
 
 
 class DrDebugSession:
@@ -63,7 +67,7 @@ class DrDebugSession:
     # -- execution control ---------------------------------------------------
 
     def enable_reverse_debugging(self,
-                                 interval: Optional[int] = None) -> None:
+                                 interval: Optional[int] = None) -> int:
         """Arm checkpoint-based reverse execution (paper Section 8).
 
         Replay will snapshot the machine every ``interval`` scheduler
@@ -71,29 +75,22 @@ class DrDebugSession:
         commands rewind to the nearest checkpoint and replay forward the
         remainder.  Call before (or between) runs.  Format-v2 pinballs
         arrive with embedded checkpoints, so even the first rewind of a
-        fresh session is O(interval) rather than O(region).
+        fresh session is O(interval) rather than O(region).  Returns the
+        resolved interval.
         """
         from repro import config
-        self._checkpoints = CheckpointManager(
-            self.pinball, self.program,
-            config.checkpoint_interval(explicit=interval))
+        interval = config.checkpoint_interval(explicit=interval)
+        self._checkpoints = CheckpointManager(self.pinball, self.program,
+                                              interval)
+        return interval
 
     @property
     def reverse_enabled(self) -> bool:
         return self._checkpoints is not None
 
     def _build_machine(self) -> None:
-        if self.program.name != self.pinball.program_name:
-            raise ReplayDivergence(
-                "pinball was recorded for %r, not %r"
-                % (self.pinball.program_name, self.program.name))
-        scheduler = RecordedScheduler(self.pinball.schedule)
-        self._injector = SyscallInjector(self.pinball.syscalls)
-        self.machine = Machine.from_snapshot(
-            self.program, MachineSnapshot.from_dict(self.pinball.snapshot),
-            scheduler=scheduler, syscall_injector=self._injector.inject)
-        if self.pinball.exclusions:
-            self.machine.install_exclusions(self.pinball.exclusions)
+        self.machine, self._injector = resume_machine(self.pinball,
+                                                      self.program)
 
     def restart(self) -> None:
         """Begin a fresh replay of the same pinball (new debug iteration)."""
@@ -175,6 +172,7 @@ class DrDebugSession:
     def stepi(self, count: int = 1) -> str:
         """Execute ``count`` scheduler steps (single instructions)."""
         OBS.add("debugger.commands", 1)
+        _require_count(count)
         machine = self._require_machine()
         taken = 0
         for _ in range(count):
@@ -292,6 +290,7 @@ class DrDebugSession:
     def reverse_stepi(self, count: int = 1) -> str:
         """Step ``count`` scheduler steps backwards."""
         OBS.add("debugger.reverse_commands", 1)
+        _require_count(count)
         before = self.steps_done
         self._rewind_to(self.steps_done - count)
         self.last_stop_reason = "reverse-stepi"

@@ -240,7 +240,7 @@ class RaceDetectorTool(Tool):
 
 def detect_races(pinball: Pinball, program: Program,
                  globals_only: bool = True,
-                 online: Optional[bool] = None) -> List[RaceReport]:
+                 online: bool = True) -> List[RaceReport]:
     """Replay ``pinball`` under the race detector; returns unique races.
 
     ``globals_only`` restricts the watch to the globals segment (program-
@@ -248,18 +248,15 @@ def detect_races(pinball: Pinball, program: Program,
     (heap and stacks too — slower, and cross-thread stack accesses are
     rare by construction).
 
-    ``online`` selects the detector path: True runs the recorder-protocol
-    detector over an *untraced* replay (one fast pass, no events — see
-    :mod:`repro.detect.online`), False forces the classic traced tool.
-    The default resolves through :func:`repro.config.detect_online` and
-    falls back to the traced path automatically when the pinball cannot
-    ride the fast path (slice pinballs, legacy engine).  Both paths
-    report the same races.
+    ``online`` (the default) runs the recorder-protocol detector over
+    an *untraced* replay (one fast pass, no events — see
+    :mod:`repro.detect.online`), falling back to the traced path when
+    the pinball cannot ride the fast path (slice pinballs, legacy
+    engine).  ``online=False`` forces the classic traced tool, the
+    differential oracle the online detector is checked against.  Both
+    paths report the same races.
     """
-    from repro import config
     from repro.detect.online import detect_races_online, online_capable
-    if online is None:
-        online = config.detect_online()
     if online and online_capable(pinball):
         return detect_races_online(pinball, program,
                                    globals_only=globals_only)

@@ -48,6 +48,7 @@ import io
 import json
 import struct
 import zlib
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.registry import OBS
@@ -220,9 +221,15 @@ def _json_bytes(payload) -> bytes:
 def capture_state(machine, consumed: Dict[int, int],
                   output: Sequence) -> dict:
     """One resumable state capture, in the format's own shape, so
-    recorder checkpoints, reexec window starts and debugger restores
-    all agree on it."""
-    return {
+    recorder checkpoints, reexec window starts and the debugger's live
+    checkpoints all agree on it (and
+    :func:`~repro.pinplay.replayer.resume_machine` restores every one).
+
+    A machine replaying a slice pinball also carries its exclusion
+    arrival counters, as JSON-safe ``[[tid, pc, n], ...]``; recordings
+    never have exclusions, so their bodies (and bytes) do not change.
+    """
+    state = {
         "snapshot": machine.snapshot().to_dict(),
         "consumed": dict(consumed),
         "global_seq": machine.global_seq,
@@ -230,6 +237,11 @@ def capture_state(machine, consumed: Dict[int, int],
                          for tid, thread in machine.threads.items()},
         "output": list(output),
     }
+    if machine._excl_watch:
+        state["excl_arrivals"] = [
+            [tid, pc, count] for (tid, pc), count
+            in sorted(machine._excl_arrivals.items())]
+    return state
 
 
 def _decode_state(raw: dict) -> dict:
@@ -266,23 +278,22 @@ class EmbeddedCheckpoint:
         return self._body
 
 
-def schedule_suffix(schedule: Sequence, steps_done: int) -> List[tuple]:
-    """The RLE schedule with the first ``steps_done`` steps dropped
-    (splitting the straddling run), for suffix replay from a
-    checkpoint."""
-    remaining: List[tuple] = []
-    seen = 0
-    for index, (tid, count) in enumerate(schedule):
-        if seen + count > steps_done:
-            overlap = steps_done - seen
-            if overlap:
-                remaining.append((tid, count - overlap))
-            else:
-                remaining.append((tid, count))
-            remaining.extend(schedule[index + 1:])
-            break
-        seen += count
-    return remaining
+def schedule_suffix(pinball, steps_done: int) -> List[tuple]:
+    """The pinball's RLE schedule with the first ``steps_done`` steps
+    dropped (splitting the straddling run): what a machine resumed from
+    a checkpoint replays.  Bisects the pinball's cached prefix sums, so
+    a resume costs O(log runs) plus the copied suffix."""
+    schedule = pinball.schedule
+    if steps_done <= 0:
+        return list(schedule)
+    prefix = pinball.schedule_prefix()
+    # First run whose cumulative step count exceeds steps_done; runs
+    # consumed exactly (prefix == steps_done) are skipped entirely.
+    index = bisect_right(prefix, steps_done)
+    if index >= len(schedule):
+        return []
+    return [(schedule[index][0], prefix[index] - steps_done),
+            *schedule[index + 1:]]
 
 
 # -- writer -------------------------------------------------------------------

@@ -35,6 +35,7 @@ import mmap
 import os
 import zlib
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import OBS
@@ -58,6 +59,9 @@ class Pinball:
     """A recorded execution region; see module docstring for the fields."""
 
     FORMAT_VERSION = 1
+    #: Where the pinball was read from (a file path, ``"<bytes>"``), so
+    #: errors found after loading can name it.
+    _source = "<in-memory pinball>"
 
     def __init__(self,
                  program_name: str,
@@ -110,21 +114,30 @@ class Pinball:
     def kind(self) -> str:
         return self.meta.get("kind", "region")
 
+    def schedule_prefix(self) -> List[int]:
+        """Cumulative step counts of the RLE schedule runs: entry ``i``
+        is the steps retired once run ``i`` is fully consumed.
+
+        Cached: O(runs) to build, and both :attr:`total_steps` (read per
+        debugger command) and every checkpoint resume
+        (:func:`~repro.pinplay.format_v2.schedule_suffix` bisects it)
+        need it.  The cache key guards the two ways the list could
+        change under us — rebinding and appends — neither of which any
+        current code path does after construction.
+        """
+        schedule = self.schedule
+        cached = self.__dict__.get("_sched_prefix")
+        if (cached is None or cached[0] is not schedule
+                or cached[1] != len(schedule)):
+            cached = (schedule, len(schedule),
+                      list(accumulate(count for _tid, count in schedule)))
+            self.__dict__["_sched_prefix"] = cached
+        return cached[2]
+
     @property
     def total_steps(self) -> int:
-        # Cached: O(runs) to sum, and callers treat it as a cheap scalar
-        # (the debugger reads it per command).  The cache key guards the
-        # two ways the list could change under us — rebinding and
-        # appends — neither of which any current code path does after
-        # construction.
-        schedule = self.schedule
-        cached = self.__dict__.get("_total_steps")
-        if (cached is not None and cached[0] is schedule
-                and cached[1] == len(schedule)):
-            return cached[2]
-        total = sum(count for _, count in schedule)
-        self.__dict__["_total_steps"] = (schedule, len(schedule), total)
-        return total
+        prefix = self.schedule_prefix()
+        return prefix[-1] if prefix else 0
 
     @property
     def total_instructions(self) -> int:
@@ -193,7 +206,7 @@ class Pinball:
         # and dominated Pinball.load for long regions.  Syscall tids are
         # the one real conversion (JSON object keys are strings).
         try:
-            return cls(
+            pinball = cls(
                 program_name=payload["program_name"],
                 snapshot=payload["snapshot"],
                 schedule=[(t, c) for t, c in payload["schedule"]],
@@ -208,6 +221,8 @@ class Pinball:
             raise PinballFormatError(
                 "%s: malformed pinball payload (%s: %s)"
                 % (source, type(exc).__name__, exc)) from exc
+        pinball._source = source
+        return pinball
 
     def to_bytes(self, compress: bool = True,
                  format: Optional[str] = None) -> bytes:

@@ -21,19 +21,25 @@ from repro.isa.program import Program
 from repro.obs.registry import OBS
 from repro.pinplay.format_v2 import (EmbeddedCheckpoint, capture_state,
                                      schedule_suffix)
-from repro.pinplay.pinball import Pinball, state_hash
+from repro.pinplay.pinball import Pinball, PinballFormatError, state_hash
 from repro.vm.errors import ReplayDivergence
 from repro.vm.hooks import Tool
-from repro.vm.machine import Machine, MachineSnapshot, RunResult
+from repro.vm.machine import (Machine, MachineSnapshot, RunResult,
+                              default_engine)
 from repro.vm.scheduler import RecordedScheduler
 
 
 class SyscallInjector:
     """Feeds recorded nondeterministic syscall results back during replay."""
 
-    def __init__(self, syscalls: Dict[int, Sequence[Tuple[str, object]]]) -> None:
+    def __init__(self, syscalls: Dict[int, Sequence[Tuple[str, object]]],
+                 consumed: Optional[Dict[int, int]] = None) -> None:
+        """``consumed`` (a checkpoint's cursor, results per thread
+        already delivered) starts each queue past those results."""
+        consumed = consumed or {}
         self._full = {int(tid): list(log) for tid, log in syscalls.items()}
-        self._queues = {tid: deque(log) for tid, log in self._full.items()}
+        self._queues = {tid: deque(log[int(consumed.get(tid, 0)):])
+                        for tid, log in self._full.items()}
 
     def inject(self, name: str, tid: int) -> Optional[object]:
         if OBS.enabled:   # syscalls are sparse; one check per injection
@@ -61,74 +67,93 @@ class SyscallInjector:
         return {tid: len(self._full[tid]) - len(queue)
                 for tid, queue in self._queues.items()}
 
-    def rewind_to(self, consumed: Dict[int, int]) -> None:
-        """Reset the queues to a previously captured consumption state."""
-        for tid, log in self._full.items():
-            start = int(consumed.get(tid, 0))
-            self._queues[tid] = deque(log[start:])
+
+def resume_machine(pinball: Pinball, program: Program,
+                   checkpoint: Optional[EmbeddedCheckpoint] = None,
+                   tools: Sequence[Tool] = (),
+                   engine: Optional[str] = None
+                   ) -> Tuple[Machine, SyscallInjector]:
+    """The one builder of replay machines: ``pinball`` primed to replay
+    from region entry, or from ``checkpoint`` (without running it).
+
+    Every consumer goes through here: plain replay, relog and online
+    race detection (via :func:`replay_machine`), the debugger's
+    restarts and rewinds, reexec's scaffold and window passes, and
+    :func:`generate_checkpoints`.  A checkpoint is any
+    :class:`~repro.pinplay.format_v2.EmbeddedCheckpoint` — one embedded
+    in a v2 pinball, or one captured live by the debugger or the reexec
+    scaffold — whose body :func:`~repro.pinplay.format_v2.capture_state`
+    wrote.  Restoring its snapshot and replaying only the schedule
+    suffix reaches any step in at most one checkpoint interval of
+    replayed steps, however long the region.
+
+    The injector is returned so callers (the debugger, the reexec
+    slicer) can capture further resume points of their own.  A
+    malformed region snapshot or checkpoint body raises
+    :class:`~repro.pinplay.pinball.PinballFormatError` naming the
+    pinball's source and the checkpoint step.
+    """
+    if program.name != pinball.program_name:
+        raise ReplayDivergence(
+            "pinball was recorded for %r, not %r"
+            % (pinball.program_name, program.name))
+    if engine is None:
+        engine = default_engine()   # a bad knob is not a pinball error
+    body = None
+    try:
+        if checkpoint is None:
+            snapshot, consumed = pinball.snapshot, None
+            schedule = pinball.schedule
+        else:
+            body = checkpoint.body()
+            snapshot, consumed = body["snapshot"], body["consumed"]
+            schedule = schedule_suffix(pinball, checkpoint.steps_done)
+        injector = SyscallInjector(pinball.syscalls, consumed)
+        machine = Machine.from_snapshot(
+            program, MachineSnapshot.from_dict(snapshot),
+            scheduler=RecordedScheduler(schedule), tools=tools,
+            syscall_injector=injector.inject, engine=engine)
+        if body is not None:
+            machine.global_seq = checkpoint.global_seq
+            machine.output = list(body["output"])
+            # Snapshots do not carry per-thread retired-instruction
+            # counters; restore them so region-relative tindexes stay
+            # correct after a resume.
+            for tid, count in body["instr_counts"].items():
+                thread = machine.threads.get(tid)
+                if thread is not None:
+                    thread.instr_count = count
+            machine._excl_arrivals = {
+                (tid, pc): count
+                for tid, pc, count in body.get("excl_arrivals", ())}
+    except PinballFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError,
+            IndexError) as exc:
+        where = ("region snapshot" if checkpoint is None
+                 else "checkpoint at step %d" % checkpoint.steps_done)
+        raise PinballFormatError(
+            "%s: malformed %s (%s: %s)"
+            % (pinball._source, where, type(exc).__name__, exc)) from exc
+    if pinball.exclusions:
+        machine.install_exclusions(pinball.exclusions)
+    if body is not None and OBS.enabled:
+        OBS.add("pinplay.checkpoint_resumes", 1)
+    return machine, injector
 
 
 def replay_machine(pinball: Pinball, program: Program,
                    tools: Sequence[Tool] = (),
                    engine: Optional[str] = None) -> Machine:
-    """Build a machine primed to replay ``pinball`` (without running it).
+    """A machine primed to replay ``pinball`` from region entry.
 
-    The debugger uses this to drive replay interactively (breakpoints,
-    stepping); batch analyses use :func:`replay` instead.  Replay is pure
+    The debugger drives replay interactively (breakpoints, stepping);
+    batch analyses use :func:`replay` instead.  Replay is pure
     re-execution: with no per-instruction tools attached the predecoded
     engine's untraced fast path executes the whole schedule without
     building a single event.
     """
-    if program.name != pinball.program_name:
-        raise ReplayDivergence(
-            "pinball was recorded for %r, not %r"
-            % (pinball.program_name, program.name))
-    scheduler = RecordedScheduler(pinball.schedule)
-    injector = SyscallInjector(pinball.syscalls)
-    machine = Machine.from_snapshot(
-        program, MachineSnapshot.from_dict(pinball.snapshot),
-        scheduler=scheduler, tools=tools,
-        syscall_injector=injector.inject, engine=engine)
-    if pinball.exclusions:
-        machine.install_exclusions(pinball.exclusions)
-    return machine
-
-
-def resume_machine(pinball: Pinball, program: Program,
-                   checkpoint: EmbeddedCheckpoint,
-                   engine: Optional[str] = None
-                   ) -> Tuple[Machine, SyscallInjector]:
-    """A machine resumed *mid-region* from an embedded checkpoint.
-
-    This is the O(chunk) seek primitive: restoring the checkpoint's
-    snapshot and replaying only the schedule suffix reaches any step in
-    at most ``checkpoint_interval`` replayed steps, regardless of how
-    long the region is.  The injector is returned so callers (the
-    debugger, the reexec slicer) can capture further resume points of
-    their own.
-    """
-    if program.name != pinball.program_name:
-        raise ReplayDivergence(
-            "pinball was recorded for %r, not %r"
-            % (pinball.program_name, program.name))
-    body = checkpoint.body()
-    scheduler = RecordedScheduler(
-        schedule_suffix(pinball.schedule, checkpoint.steps_done))
-    injector = SyscallInjector(pinball.syscalls)
-    injector.rewind_to(body["consumed"])
-    machine = Machine.from_snapshot(
-        program, MachineSnapshot.from_dict(body["snapshot"]),
-        scheduler=scheduler, syscall_injector=injector.inject,
-        engine=engine)
-    machine.global_seq = checkpoint.global_seq
-    machine.output = list(body["output"])
-    for tid, count in body["instr_counts"].items():
-        thread = machine.threads.get(tid)
-        if thread is not None:
-            thread.instr_count = count
-    if OBS.enabled:
-        OBS.add("pinplay.checkpoint_resumes", 1)
-    return machine, injector
+    return resume_machine(pinball, program, tools=tools, engine=engine)[0]
 
 
 def generate_checkpoints(pinball: Pinball, program: Program,
@@ -146,12 +171,7 @@ def generate_checkpoints(pinball: Pinball, program: Program,
         raise ValueError("checkpoint interval must be >= 1")
     if pinball.exclusions:
         return []
-    scheduler = RecordedScheduler(pinball.schedule)
-    injector = SyscallInjector(pinball.syscalls)
-    machine = Machine.from_snapshot(
-        program, MachineSnapshot.from_dict(pinball.snapshot),
-        scheduler=scheduler, syscall_injector=injector.inject,
-        engine=engine)
+    machine, injector = resume_machine(pinball, program, engine=engine)
     total = pinball.total_steps
     checkpoints = []
     done = 0

@@ -58,17 +58,15 @@ from repro.isa.program import Program
 from repro.obs.registry import OBS
 from repro.pinplay.format_v2 import EmbeddedCheckpoint, capture_state
 from repro.pinplay.pinball import Pinball
-from repro.pinplay.replayer import SyscallInjector, resume_machine
+from repro.pinplay.replayer import resume_machine
 from repro.slicing.global_trace import GlobalTraceError
 from repro.slicing.options import SliceOptions
 from repro.slicing.save_restore import SaveRestoreDetector
 from repro.slicing.slice import DynamicSlice, SliceNode
 from repro.slicing.trace import Instance, Location
 from repro.slicing.tracer import prime_jump_tables
-from repro.vm.errors import ReplayDivergence
-from repro.vm.machine import Machine, MachineSnapshot
+from repro.vm.machine import Machine
 from repro.vm.microops import MEM_OPCODES, decode_selective
-from repro.vm.scheduler import RecordedScheduler
 
 #: Per-pc instruction classes driving the offline control-dep replication.
 _PLAIN, _BRANCH, _CALL, _RET, _SYS = 0, 1, 2, 3, 4
@@ -413,27 +411,12 @@ class ReexecIndex:
 
     # -- machines ----------------------------------------------------------
 
-    def _fresh_machine(self) -> Tuple[Machine, SyscallInjector]:
-        pinball = self.pinball
-        if self.program.name != pinball.program_name:
-            raise ReplayDivergence(
-                "pinball was recorded for %r, not %r"
-                % (pinball.program_name, self.program.name))
-        scheduler = RecordedScheduler(pinball.schedule)
-        injector = SyscallInjector(pinball.syscalls)
-        machine = Machine.from_snapshot(
-            self.program, MachineSnapshot.from_dict(pinball.snapshot),
-            scheduler=scheduler, syscall_injector=injector.inject,
-            engine=self.engine)
-        return machine, injector
-
     def _resume(self, window: int) -> Machine:
-        handle = self._handles[window]
-        if handle is None:
-            machine, _injector = self._fresh_machine()
-            return machine
+        """A machine at the start of ``window`` (region entry for the
+        first, else the window's checkpoint)."""
         machine, _injector = resume_machine(
-            self.pinball, self.program, handle, engine=self.engine)
+            self.pinball, self.program, self._handles[window],
+            engine=self.engine)
         return machine
 
     # -- scaffold ----------------------------------------------------------
@@ -453,7 +436,8 @@ class ReexecIndex:
             synthesize = True
         bounds = [0] + interiors + [total]
 
-        machine, injector = self._fresh_machine()
+        machine, injector = resume_machine(pinball, self.program,
+                                           engine=self.engine)
         machine.set_selective(self._flow_table)
         #: Pre-run frame-id state per thread, seeding the offline
         #: control-dep replication.  Threads spawned mid-region start

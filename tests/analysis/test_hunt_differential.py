@@ -51,12 +51,11 @@ class TestOnlineTracedEquivalence:
         online = detect_races_online(pinball, program)
         assert _race_key(traced) == _race_key(online)
 
-    def test_online_dispatch_is_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DETECT_ONLINE", raising=False)
+    def test_online_dispatch_is_default(self):
         program = build_program(3)
         pinball = record_pinball(program, 3)
-        # detect_races() resolves through the knob (default True) and
-        # must agree with the forced traced path.
+        # detect_races() defaults to the online path and must agree
+        # with the forced traced path.
         assert _race_key(detect_races(pinball, program)) == _race_key(
             detect_races(pinball, program, online=False))
 

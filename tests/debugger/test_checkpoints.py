@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.debugger.checkpoints import CheckpointManager, remaining_schedule
+import random
+
+from repro.debugger import DrDebugSession
+from repro.debugger.checkpoints import CheckpointManager
 from repro.lang import compile_source
-from repro.pinplay import RegionSpec, record_region
+from repro.pinplay import Pinball, RegionSpec, record_region
+from repro.pinplay.format_v2 import schedule_suffix
 from repro.pinplay.pinball import state_hash
 from repro.pinplay.replayer import SyscallInjector
 from repro.vm import RoundRobinScheduler
@@ -152,13 +156,18 @@ class TestEmbeddedCheckpoints:
         assert manager.latest_at_or_before(first - 1).steps_done == 0
 
     def test_materialize_decodes_once(self, v2_recorded):
-        program, pinball = v2_recorded
-        manager = CheckpointManager(pinball, program, interval=40)
-        first = pinball.checkpoints[0].steps_done
-        a = manager.latest_at_or_before(first)
-        b = manager.latest_at_or_before(first)
-        assert a is b                               # cached Checkpoint
-        assert list(manager._embedded_cache) == [first]
+        program, recorded = v2_recorded
+        pinball = Pinball.from_bytes(recorded.to_bytes(format="v2"))
+        first = pinball.checkpoints[0]
+        loads = []
+        loader = first._loader
+        first._loader = lambda: loads.append(1) or loader()
+        session = DrDebugSession(pinball, program)
+        session.enable_reverse_debugging(40)
+        for _ in range(2):                          # two rewinds, one decode
+            session.seek(first.steps_done + 3)
+            assert session.steps_done == first.steps_done + 3
+        assert len(loads) == 1
 
     def test_restore_from_embedded_continues_identically(self,
                                                          v2_recorded):
@@ -175,28 +184,51 @@ class TestEmbeddedCheckpoints:
         assert machine.output == reference.output
 
 
+def _reference_suffix(schedule, steps_done):
+    """The plain RLE walk: drop ``steps_done`` steps run by run."""
+    remaining = []
+    to_skip = steps_done
+    for tid, count in schedule:
+        if to_skip >= count:
+            to_skip -= count
+            continue
+        remaining.append((tid, count - to_skip))
+        to_skip = 0
+    return remaining
+
+
 class TestRemainingSchedule:
-    """The prefix-sum + binary-search resume must equal the reference
-    RLE walk at every possible step offset."""
+    """The prefix-sum + binary-search resume (``schedule_suffix``) must
+    equal the reference RLE walk at every possible step offset."""
 
     def test_prefix_sum_matches_reference_walk(self, recorded):
-        program, pinball = recorded
-        manager = CheckpointManager(pinball, program, interval=10)
+        _program, pinball = recorded
         total = sum(count for _tid, count in pinball.schedule)
         for steps_done in range(total + 2):
-            assert (manager._remaining_schedule(steps_done)
-                    == remaining_schedule(pinball.schedule, steps_done)), (
+            assert (schedule_suffix(pinball, steps_done)
+                    == _reference_suffix(pinball.schedule, steps_done)), (
                 "divergence at steps_done=%d" % steps_done)
 
+    def test_random_schedules_match_reference_walk(self):
+        rng = random.Random(16)
+        for _ in range(2000):
+            schedule = [(rng.randrange(4), rng.randint(1, 6))
+                        for _ in range(rng.randrange(8))]
+            pinball = Pinball("cp", {}, schedule, {})
+            total = pinball.total_steps
+            for steps_done in (0, rng.randint(0, total + 2), total):
+                assert (schedule_suffix(pinball, steps_done)
+                        == _reference_suffix(schedule, steps_done))
+
     def test_synthetic_run_boundaries(self, recorded):
-        program, pinball = recorded
+        _program, pinball = recorded
         schedule = [(0, 3), (1, 1), (0, 4), (2, 2)]
         pinball.schedule = schedule
-        manager = CheckpointManager(pinball, program, interval=10)
-        assert manager._remaining_schedule(0) == schedule
-        assert manager._remaining_schedule(3) == schedule[1:]
-        assert manager._remaining_schedule(4) == schedule[2:]
-        assert manager._remaining_schedule(5) == [(0, 3), (2, 2)]
-        assert manager._remaining_schedule(8) == [(2, 2)]
-        assert manager._remaining_schedule(10) == []
-        assert manager._remaining_schedule(99) == []
+        assert schedule_suffix(pinball, 0) == schedule
+        assert schedule_suffix(pinball, 3) == schedule[1:]
+        assert schedule_suffix(pinball, 4) == schedule[2:]
+        assert schedule_suffix(pinball, 5) == [(0, 3), (2, 2)]
+        assert schedule_suffix(pinball, 8) == [(2, 2)]
+        assert schedule_suffix(pinball, 10) == []
+        assert schedule_suffix(pinball, 99) == []
+        assert pinball.total_steps == 10

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.debugger import DrDebugCLI, DrDebugSession
-from repro.debugger.checkpoints import CheckpointManager, remaining_schedule
+from repro.debugger.checkpoints import CheckpointManager
 from repro.debugger.session import DebuggerError
 from repro.lang import compile_source
-from repro.pinplay import RegionSpec, record_region
+from repro.pinplay import Pinball, RegionSpec, record_region
+from repro.pinplay.format_v2 import schedule_suffix
 from repro.vm import RoundRobinScheduler
 
 COUNTING = """
@@ -29,6 +30,10 @@ def make_session(interval=40):
     session = DrDebugSession(pinball, program, source=COUNTING)
     session.enable_reverse_debugging(interval)
     return session
+
+
+def remaining_schedule(schedule, steps_done):
+    return schedule_suffix(Pinball("reverse", {}, schedule, {}), steps_done)
 
 
 class TestRemainingSchedule:
@@ -183,3 +188,25 @@ class TestReverseCli:
         cli = DrDebugCLI(DrDebugSession(pinball, program))
         cli.execute("run")
         assert "error" in cli.execute("rsi")
+
+    def test_negative_step_counts_are_errors(self):
+        session = make_session()
+        session.restart()
+        session.stepi(105)
+        cli = DrDebugCLI(session)
+        assert cli.execute("reverse-stepi -7").startswith("error:")
+        assert session.steps_done == 105
+        assert cli.execute("stepi -3").startswith("error:")
+        assert session.steps_done == 105
+        with pytest.raises(DebuggerError):
+            session.reverse_stepi(-1)
+
+    def test_record_on_resolves_the_interval_knob(self, monkeypatch):
+        program = compile_source(COUNTING, name="reverse")
+        pinball = record_region(program, RoundRobinScheduler(), RegionSpec())
+        session = DrDebugSession(pinball, program)
+        cli = DrDebugCLI(session)
+        monkeypatch.setenv("REPRO_CHECKPOINT_INTERVAL", "7")
+        assert "every 7 steps" in cli.execute("record-on")
+        assert session._checkpoints.interval == 7
+        assert "every 32 steps" in cli.execute("record-on 32")
