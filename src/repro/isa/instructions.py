@@ -8,10 +8,11 @@ The machine is register based with a downward-growing stack:
 * a flat word-addressed data memory, disjoint from code addresses;
 * code addresses are indices into the program's flat instruction list.
 
-Every instruction knows which registers it defines and uses; the memory
-addresses it touches are only known at execution time and are reported by
-the VM in trace records.  This def/use interface is what the dynamic slicer
-consumes.
+An instruction's register and memory effects are described once, by its
+shape in :mod:`repro.vm.microops`, whose
+:func:`~repro.vm.microops.instr_effects` answers the static part.  The
+memory addresses it touches are known only at execution time and are
+reported by the VM in trace records.
 """
 
 from __future__ import annotations
@@ -149,61 +150,6 @@ class Instr:
         if self.op == Opcode.SYS and not self.subop:
             raise ValueError("sys requires a syscall name in subop")
 
-    # -- static def/use information (registers only; memory is dynamic) ----
-
-    def reg_defs(self) -> Tuple[str, ...]:
-        """Registers written by this instruction."""
-        op = self.op
-        if op in (Opcode.MOV, Opcode.LD, Opcode.LEA):
-            return (_reg_name(self.operands[0]),)
-        if op in (Opcode.BINOP, Opcode.UNOP):
-            return (_reg_name(self.operands[0]),)
-        if op == Opcode.PUSH:
-            return ("sp",)
-        if op == Opcode.POP:
-            return (_reg_name(self.operands[0]), "sp")
-        if op in (Opcode.CALL, Opcode.ICALL):
-            return ("sp",)
-        if op == Opcode.RET:
-            return ("sp",)
-        if op == Opcode.SYS:
-            # Syscalls may write results into r0/r1; treated conservatively.
-            return ("r0", "r1")
-        return ()
-
-    def reg_uses(self) -> Tuple[str, ...]:
-        """Registers read by this instruction."""
-        op = self.op
-        uses = []
-        if op == Opcode.MOV:
-            _collect_src(self.operands[1], uses)
-        elif op == Opcode.LD:
-            uses.append(self.operands[1].base.name)
-        elif op == Opcode.ST:
-            uses.append(self.operands[0].base.name)
-            _collect_src(self.operands[1], uses)
-        elif op == Opcode.BINOP:
-            _collect_src(self.operands[1], uses)
-            _collect_src(self.operands[2], uses)
-        elif op == Opcode.UNOP:
-            _collect_src(self.operands[1], uses)
-        elif op in (Opcode.BR, Opcode.BRZ):
-            uses.append(_reg_name(self.operands[0]))
-        elif op in (Opcode.IJMP, Opcode.ICALL):
-            uses.append(_reg_name(self.operands[0]))
-        elif op == Opcode.PUSH:
-            _collect_src(self.operands[0], uses)
-            uses.append("sp")
-        elif op == Opcode.POP:
-            uses.append("sp")
-        elif op in (Opcode.CALL,):
-            uses.append("sp")
-        elif op == Opcode.RET:
-            uses.append("sp")
-        elif op == Opcode.SYS:
-            uses.extend(("r0", "r1", "r2", "r3"))
-        return tuple(dict.fromkeys(uses))
-
     # -- decode metadata (consumed by the predecode layer) ------------------
 
     def operand_kinds(self) -> str:
@@ -264,17 +210,3 @@ class Instr:
 
 #: Operand-kind codes for :meth:`Instr.operand_kinds`.
 _OPERAND_KIND_CODES = {Reg: "r", Imm: "i", Mem: "m", Label: "l"}
-
-
-def _reg_name(operand: Operand) -> str:
-    if not isinstance(operand, Reg):
-        raise TypeError("expected register operand, got %r" % (operand,))
-    return operand.name
-
-
-def _collect_src(operand: Operand, out: list) -> None:
-    """Accumulate register names read by a source operand."""
-    if isinstance(operand, Reg):
-        out.append(operand.name)
-    elif isinstance(operand, Mem):
-        out.append(operand.base.name)

@@ -42,7 +42,7 @@ from repro.pinplay.pinball import Pinball
 from repro.pinplay.replayer import replay_machine
 from repro.vm.errors import ReplayDivergence
 from repro.vm.hooks import InstrEvent, Tool
-from repro.vm.microops import decode_program
+from repro.vm.microops import decode_program, program_effects
 from repro.vm.scheduler import ScheduleRecorder
 
 
@@ -195,10 +195,6 @@ _NEVER = 1 << 62
 #: One bit per architectural register, for an excluded run's def set.
 _REG_BITS = {name: 1 << index for index, name in enumerate(ALL_REGISTERS)}
 
-#: Opcodes whose excluded instances write memory (SYS is always kept).
-_WRITING_OPCODES = frozenset((Opcode.ST, Opcode.PUSH, Opcode.CALL,
-                              Opcode.ICALL))
-
 
 def _written_regs(thread, mask: int) -> List[Tuple[str, object]]:
     """The thread's current values of the registers in ``mask``."""
@@ -332,6 +328,7 @@ class _SelectiveRelog:
 
     def _build_table(self, program: Program, read) -> list:
         fast_table, _traced, rec_table, _kinds = decode_program(program)
+        effects = program_effects(program)
         threads = self.threads
         boundary = self.boundary
         syscall = self.syscall
@@ -344,14 +341,16 @@ class _SelectiveRelog:
             if instr.op == Opcode.SYS:
                 table.append(_sel_syscall(syscall, fast, pc))
                 continue
-            try:
-                defs = instr.reg_defs()
-            except (TypeError, IndexError):
-                defs = ()   # malformed operands: execution raises anyway
+            effect = effects[pc]
+            if effect is None:
+                # Undecodable shape: its execution raises anyway.
+                defs, writes_mem = (), False
+            else:
+                defs, writes_mem = effect.writes, effect.writes_mem
             bits = 0
             for name in defs:
                 bits |= _REG_BITS.get(name, 0)
-            if instr.op in _WRITING_OPCODES:
+            if writes_mem:
                 table.append(_sel_write(threads, boundary, fast,
                                         rec_table[pc], bits, pc, read,
                                         reads, writes))
@@ -384,8 +383,9 @@ def _sel_plain(threads, boundary, fast, bits: int, pc: int):
 
 def _sel_write(threads, boundary, fast, rec, bits: int, pc: int, read,
                reads: List[int], writes: List[int]):
-    """Handler for ST, PUSH, CALL and ICALL: an excluded instance runs the
-    record closure and reads each written word back into the run."""
+    """Handler for an instruction that writes memory: an excluded instance
+    runs the record closure and reads each written word back into the
+    run."""
     def sel(machine, thread) -> bool:
         state = threads[thread.tid]
         if (thread.instr_count >= state.next

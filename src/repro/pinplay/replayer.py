@@ -89,9 +89,11 @@ def resume_machine(pinball: Pinball, program: Program,
 
     The injector is returned so callers (the debugger, the reexec
     slicer) can capture further resume points of their own.  A
-    malformed region snapshot or checkpoint body raises
+    malformed part raises
     :class:`~repro.pinplay.pinball.PinballFormatError` naming the
-    pinball's source and the checkpoint step.
+    pinball's source and the part: the schedule, the syscall log, the
+    region snapshot, the checkpoint (by step) or the exclusion record
+    (by index).
     """
     if program.name != pinball.program_name:
         raise ReplayDivergence(
@@ -100,18 +102,25 @@ def resume_machine(pinball: Pinball, program: Program,
     if engine is None:
         engine = default_engine()   # a bad knob is not a pinball error
     body = None
+    where = ("region snapshot" if checkpoint is None
+             else "checkpoint at step %d" % checkpoint.steps_done)
+    section = where
     try:
         if checkpoint is None:
             snapshot, consumed = pinball.snapshot, None
-            schedule = pinball.schedule
         else:
             body = checkpoint.body()
             snapshot, consumed = body["snapshot"], body["consumed"]
-            schedule = schedule_suffix(pinball, checkpoint.steps_done)
+        section = "schedule"
+        scheduler = RecordedScheduler(
+            pinball.schedule if checkpoint is None
+            else schedule_suffix(pinball, checkpoint.steps_done))
+        section = "syscall log"
         injector = SyscallInjector(pinball.syscalls, consumed)
+        section = where
         machine = Machine.from_snapshot(
             program, MachineSnapshot.from_dict(snapshot),
-            scheduler=RecordedScheduler(schedule), tools=tools,
+            scheduler=scheduler, tools=tools,
             syscall_injector=injector.inject, engine=engine)
         if body is not None:
             machine.global_seq = checkpoint.global_seq
@@ -126,17 +135,18 @@ def resume_machine(pinball: Pinball, program: Program,
             machine._excl_arrivals = {
                 (tid, pc): count
                 for tid, pc, count in body.get("excl_arrivals", ())}
+        section = None
+        machine.install_exclusions(pinball.exclusions)
     except PinballFormatError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError,
             IndexError) as exc:
-        where = ("region snapshot" if checkpoint is None
-                 else "checkpoint at step %d" % checkpoint.steps_done)
+        if section is None:   # the message names the exclusion record
+            raise PinballFormatError(
+                "%s: %s" % (pinball._source, exc)) from exc
         raise PinballFormatError(
             "%s: malformed %s (%s: %s)"
-            % (pinball._source, where, type(exc).__name__, exc)) from exc
-    if pinball.exclusions:
-        machine.install_exclusions(pinball.exclusions)
+            % (pinball._source, section, type(exc).__name__, exc)) from exc
     if body is not None and OBS.enabled:
         OBS.add("pinplay.checkpoint_resumes", 1)
     return machine, injector

@@ -66,7 +66,7 @@ from repro.slicing.slice import DynamicSlice, SliceNode
 from repro.slicing.trace import Instance, Location
 from repro.slicing.tracer import prime_jump_tables
 from repro.vm.machine import Machine
-from repro.vm.microops import MEM_OPCODES, decode_selective
+from repro.vm.microops import decode_selective, program_effects
 
 #: Per-pc instruction classes driving the offline control-dep replication.
 _PLAIN, _BRANCH, _CALL, _RET, _SYS = 0, 1, 2, 3, 4
@@ -79,88 +79,6 @@ _END_NO_TARGETS = -2  # IJMP with no known targets: no region at all
 #: scaffold's resident snapshot memory for pinballs recorded without
 #: embedded checkpoints.
 _MAX_SYNTH_WINDOWS = 16
-
-#: Opcodes that read memory on every retire (the ``last_reads`` index).
-_MEM_READERS = frozenset((Opcode.LD, Opcode.POP, Opcode.RET))
-
-
-def _derive_reg_sets(instr, track_sp: bool) -> Tuple[tuple, tuple]:
-    """Static register (rdefs, ruses) for one instruction, byte-equal to
-    what :class:`~repro.slicing.tracer.TraceCollector` derives from a
-    traced event of the same opcode/shape (same traversal order, same
-    ``sp`` filtering, same dedupe).  SYS returns the no-result variant;
-    its per-instance ``r0`` def is applied from the scaffold's flag
-    stream.  Raises ValueError for shapes the traced closures would not
-    decode either."""
-    op = instr.op
-    ops = instr.operands
-    kinds = instr.operand_kinds()
-    reads: List[str] = []
-    writes: List[str] = []
-    if op == Opcode.MOV or op == Opcode.LEA:
-        if kinds == "rr":
-            reads.append(ops[1].name)
-        elif kinds != "ri":
-            raise ValueError("underivable %s shape %r" % (op, kinds))
-        writes.append(ops[0].name)
-    elif op == Opcode.LD:
-        reads.append(ops[1].base.name)
-        writes.append(ops[0].name)
-    elif op == Opcode.ST:
-        reads.append(ops[0].base.name)
-        if kinds == "mr":
-            reads.append(ops[1].name)
-        elif kinds != "mi":
-            raise ValueError("underivable st shape %r" % (kinds,))
-    elif op == Opcode.BINOP:
-        if kinds not in ("rrr", "rri", "rir", "rii"):
-            raise ValueError("underivable binop shape %r" % (kinds,))
-        if kinds[1] == "r":
-            reads.append(ops[1].name)
-        if kinds[2] == "r":
-            reads.append(ops[2].name)
-        writes.append(ops[0].name)
-    elif op == Opcode.UNOP:
-        if kinds not in ("rr", "ri"):
-            raise ValueError("underivable unop shape %r" % (kinds,))
-        if kinds == "rr":
-            reads.append(ops[1].name)
-        writes.append(ops[0].name)
-    elif op == Opcode.BR or op == Opcode.BRZ:
-        reads.append(ops[0].name)
-    elif op == Opcode.IJMP:
-        reads.append(ops[0].name)
-    elif op == Opcode.CALL:
-        reads.append("sp")
-        writes.append("sp")
-    elif op == Opcode.ICALL:
-        reads.append(ops[0].name)
-        reads.append("sp")
-        writes.append("sp")
-    elif op == Opcode.RET:
-        reads.append("sp")
-        writes.append("sp")
-    elif op == Opcode.PUSH:
-        if kinds == "r":
-            reads.append(ops[0].name)
-        elif kinds != "i":
-            raise ValueError("underivable push shape %r" % (kinds,))
-        reads.append("sp")
-        writes.append("sp")
-    elif op == Opcode.POP:
-        reads.append("sp")
-        writes.append(ops[0].name)
-        writes.append("sp")
-    elif op == Opcode.SYS:
-        reads.extend(("r0", "r1", "r2", "r3"))
-    elif op not in (Opcode.JMP, Opcode.HALT, Opcode.NOP):
-        raise ValueError("underivable opcode %r" % (op,))
-    ruses = tuple(dict.fromkeys(
-        name for name in reads if track_sp or name != "sp"))
-    rdefs = tuple(dict.fromkeys(
-        name for name in writes if track_sp or name != "sp"))
-    return rdefs, ruses
-
 
 class _ShimEvent:
     """The slice of :class:`~repro.vm.hooks.InstrEvent` the save/restore
@@ -500,8 +418,15 @@ class ReexecIndex:
         reads_mem = bytearray()
         memop = bytearray()
         lines = []
-        for instr in self.program.instructions:
-            rdefs, ruses = _derive_reg_sets(instr, track_sp)
+        # decode_selective has rejected undecodable programs.  SYS lists
+        # its no-result variant; the per-instance r0 def is applied from
+        # the scaffold's flag stream.
+        for instr, effects in zip(self.program.instructions,
+                                  program_effects(self.program)):
+            rdefs = tuple(name for name in effects.writes
+                          if track_sp or name != "sp")
+            ruses = tuple(name for name in effects.reads
+                          if track_sp or name != "sp")
             op = instr.op
             if op == Opcode.BR or op == Opcode.BRZ or op == Opcode.IJMP:
                 klass = _BRANCH
@@ -514,8 +439,8 @@ class ReexecIndex:
             else:
                 klass = _PLAIN
             plans.append((instr.line, instr.func, rdefs, ruses, klass))
-            reads_mem.append(1 if op in _MEM_READERS else 0)
-            memop.append(1 if op in MEM_OPCODES else 0)
+            reads_mem.append(effects.reads_mem)
+            memop.append(effects.reads_mem or effects.writes_mem)
             lines.append(instr.line)
         self._plans = plans
         self._reads_mem = reads_mem
@@ -1125,8 +1050,8 @@ class ReexecIndex:
 
     def last_reads(self, count: int) -> List[Instance]:
         """The last ``count`` memory-reading instances, newest first —
-        derived from the scaffold alone (only LD/POP/RET ever read
-        memory, a static property of the pc)."""
+        derived from the scaffold alone (whether an instruction reads
+        memory is a static property of its pc)."""
         self.prepare()
         if count <= 0:
             return []

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.isa.instructions import Imm, Instr, Mem, Opcode, Reg
+from repro.isa.instructions import (ALL_REGISTERS, Imm, Instr, Mem,
+                                    Opcode, Reg)
 from repro.isa.program import Program
 from repro.obs.registry import OBS
 from repro.vm.errors import AssertionFailure, DeadlockError, VMError
@@ -33,7 +34,8 @@ from repro.vm.memory import ADDRESS_SPACE_TOP, STACK_SIZE, Memory
 from repro.vm.microops import KIND_SLOT, KIND_STOP, decode_program
 from repro.vm.scheduler import RoundRobinScheduler, Scheduler
 from repro.vm.syscalls import BLOCK, NONDET_SYSCALLS, SYSCALLS
-from repro.vm.thread import EXIT_SENTINEL, ThreadContext, ThreadStatus
+from repro.vm.thread import (EXIT_SENTINEL, Frame, ThreadContext,
+                             ThreadStatus)
 
 Word = Union[int, float]
 
@@ -142,8 +144,8 @@ class Machine:
         self.breakpoints: set = set()
         self._bp_skip = False
         #: Exclusion-skip support for slice pinballs: (tid, pc) ->
-        #: {arrival_index: exclusion record}; see install_exclusions().
-        self._excl_watch: Dict[Tuple[int, int], Dict[int, dict]] = {}
+        #: {arrival_index: converted record}; see install_exclusions().
+        self._excl_watch: Dict[Tuple[int, int], Dict[int, tuple]] = {}
         self._excl_arrivals: Dict[Tuple[int, int], int] = {}
         self.skipped_exclusions = 0
         self.rng = Lcg(rand_seed)
@@ -778,11 +780,21 @@ class Machine:
         and injects the recorded register/memory side effects — the
         excluded code is never executed, which is what makes slice-pinball
         replay fast (paper Section 4, Figure 6).
+
+        Each record is converted here, once, into the form the skip
+        applies; a malformed one raises :class:`ValueError` naming its
+        index.
         """
-        for record in exclusions:
-            key = (int(record["tid"]), int(record["start_pc"]))
-            self._excl_watch.setdefault(key, {})[
-                int(record["start_arrival"])] = record
+        for index, record in enumerate(exclusions):
+            try:
+                key = (int(record["tid"]), int(record["start_pc"]))
+                arrival = int(record["start_arrival"])
+                skip = _exclusion_skip(record)
+            except (KeyError, TypeError, ValueError, AttributeError,
+                    IndexError) as exc:
+                raise ValueError("malformed exclusion record %d (%s: %s)"
+                                 % (index, type(exc).__name__, exc)) from exc
+            self._excl_watch.setdefault(key, {})[arrival] = skip
 
     def _try_exclusion_skip(self, thread) -> bool:
         key = (thread.tid, thread.pc)
@@ -791,21 +803,19 @@ class Machine:
             return False
         arrival = self._excl_arrivals.get(key, 0) + 1
         self._excl_arrivals[key] = arrival
-        record = by_arrival.get(arrival)
-        if record is None:
+        skip = by_arrival.get(arrival)
+        if skip is None:
             return False
-        for name, value in record["regs"]:
-            thread.regs[name] = value
-        for addr, value in record["mem"]:
-            self.memory.write(int(addr), value)
-        if record.get("frames") is not None:
-            from repro.vm.thread import Frame
-            thread.frames = [
-                Frame(func=f["func"], call_addr=f["call_addr"],
-                      return_addr=f["return_addr"], frame_id=f["frame_id"],
-                      fp_at_entry=f["fp_at_entry"])
-                for f in record["frames"]]
-        thread.pc = int(record["end_pc"])
+        regs, mem, frames, end_pc = skip
+        thread_regs = thread.regs
+        for name, value in regs:
+            thread_regs[name] = value
+        write = self.memory.write
+        for addr, value in mem:
+            write(addr, value)
+        if frames is not None:
+            thread.frames = [Frame(*fields) for fields in frames]
+        thread.pc = end_pc
         self.skipped_exclusions += 1
         return True
 
@@ -1189,6 +1199,21 @@ class Machine:
             offset = function.local_offsets[name]
             return self.memory.read(int(thread.regs["fp"]) + offset)
         raise VMError("unknown local %r in %s" % (name, frame.func))
+
+
+def _exclusion_skip(record: dict) -> tuple:
+    """(regs, mem, frames, end_pc) of one exclusion record, checked."""
+    regs = []
+    for name, value in record["regs"]:
+        if name not in ALL_REGISTERS:
+            raise ValueError("unknown register %r" % (name,))
+        regs.append((name, value))
+    mem = [(int(addr), value) for addr, value in record["mem"]]
+    frames = record.get("frames")
+    if frames is not None:
+        frames = [(f["func"], f["call_addr"], f["return_addr"],
+                   f["frame_id"], f["fp_at_entry"]) for f in frames]
+    return regs, mem, frames, int(record["end_pc"])
 
 
 def _apply_binop(subop: str, a: Word, b: Word, thread, pc) -> Word:

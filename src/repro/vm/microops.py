@@ -17,27 +17,81 @@ cached on the program object — into parallel handler tables:
   :class:`~repro.vm.hooks.InstrEvent` streams are bit-for-bit identical
   between engines (the differential tests assert this).
 * ``rec[pc](machine, thread, mr, mw) -> bool`` — the *record* path,
-  present only for opcodes in :data:`MEM_OPCODES` (``None`` elsewhere).
-  The fast recorder needs just the memory *addresses* an instruction
-  touched (access-order edges carry no values), so these closures run at
-  untraced speed plus one bare-``int`` append per access: no tuples, no
-  register def/use plumbing.  Opcodes without a dedicated record shape
-  (SYS, fallbacks) wrap their traced closure and strip the addresses out.
-* ``sel[pc](machine, thread) -> bool`` — the *selective* path, a fourth
-  table variant armed with :meth:`Machine.set_selective
-  <repro.vm.machine.Machine.set_selective>`.  Unlike the three tables
-  above it is bound to its consumer rather than cached on the program:
-  only the events the consumer watches pay any per-step cost, everything
-  else executes through the untraced closure unchanged.  Two consumers
-  build one.  The re-execution slicer's comes from
-  :func:`decode_selective` in two sink modes — ``"flow"`` (per-retire pc
-  stream plus the few execution-time facts offline analysis cannot
-  recover: branch region ends, indirect-jump targets, syscall result
-  presence, save/restore stack traffic) and ``"mem"`` (memory addresses
-  only, for replaying a bounded window of the region on demand).  The
-  relogger (:mod:`repro.pinplay.relogger`) wraps the ``fast`` and
-  ``rec`` closures of this module's tables in its own keep-cursor
-  handlers.
+  present only where the instruction can touch memory (``None``
+  elsewhere).  The fast recorder needs just the memory *addresses* an
+  instruction touched (access-order edges carry no values), so these
+  closures run at untraced speed plus one bare-``int`` append per access.
+  SYS and fallback shapes wrap their traced closure and strip the
+  addresses out.
+
+One description per shape
+-------------------------
+
+Every decodable instruction shape has exactly one entry in
+:data:`SHAPES`: the opcodes and operand kinds
+(:meth:`~repro.isa.instructions.Instr.operand_kinds`) it matches, the
+names of its decode-time parameters — one per register or immediate
+operand, two (base register, offset) per memory operand — and one
+*body*, written in the legacy interpreter's read/write order.  Four
+body lines mark effects::
+
+    x = R(reg)          register read       (reg: a parameter or "sp")
+    W(reg, expr)        register write
+    x = MR(addr)        memory read         (addr: a local name)
+    MW(addr, expr)      memory write
+
+Everything else in a body is plain Python over ``machine``, ``thread``,
+the parameters and ``pc``, ``next_pc``, ``code_len`` and ``program``.
+An optional *setup* runs once per instruction at decode time (say, to
+resolve a callee's name).  The generator compiles each shape once per
+process into a factory that returns the three variants; they differ only
+in how the effect lines report:
+
+* ``fast`` drops the reporting: ``R``/``W`` become ``regs[...]``
+  accesses and ``MR``/``MW`` memory reads and writes;
+* ``traced`` also appends ``(reg|addr, value)`` pairs to ``rr``, ``rw``,
+  ``mr`` and ``mw``;
+* ``rec`` appends only the bare addresses to ``mr`` and ``mw``.
+
+The same bodies answer the static query :func:`instr_effects` — the
+registers an instruction reads and writes, in traced order, and whether
+it reads or writes memory — which the re-execution slicer, the relogger
+and the step kinds below all read (:func:`program_effects` caches it
+per program).  Because a shape's execution and its
+static def/use sets come from one text, they agree by construction.
+
+To add a shape: give it a :data:`SHAPES` entry (its opcodes must not
+already match the same operand kinds) and a case in the hand-assembled
+differential corpus (``tests/vm/test_shape_differential.py``), which
+fails for any shape it does not decode.
+
+Splice rule: program operands and register names enter generated code
+only as factory arguments.  The one text spliced into generated source
+is this module's own subop expression (:data:`SUBOPS`, replacing ``OP``
+in a body), looked up by a subop :class:`~repro.isa.instructions.Instr`
+has already validated.  An unknown shape or subop raises, and the
+instruction takes the undecodable fallback.  Each factory is compiled
+under the file name ``<microop SHAPE>`` (``<microop SHAPE SUBOP>`` for
+arithmetic) and registered with :mod:`linecache`, so a traceback through
+a handler shows its body line and :func:`inspect.getsource` works on a
+table entry.
+
+Selective tables
+----------------
+
+``sel[pc](machine, thread) -> bool`` is a fourth table variant armed with
+:meth:`Machine.set_selective <repro.vm.machine.Machine.set_selective>`.
+Unlike the three tables above it is bound to its consumer rather than
+cached on the program: only the events the consumer watches pay any
+per-step cost, everything else executes through the untraced closure
+unchanged.  Two consumers build one.  The re-execution slicer's comes
+from :func:`decode_selective` in two sink modes — ``"flow"`` (per-retire
+pc stream plus the few execution-time facts offline analysis cannot
+recover: branch region ends, indirect-jump targets, syscall result
+presence, save/restore stack traffic) and ``"mem"`` (memory addresses
+only, for replaying a bounded window of the region on demand).  The
+relogger (:mod:`repro.pinplay.relogger`) wraps the ``fast`` and ``rec``
+closures of this module's tables in its own keep-cursor handlers.
 
 All handlers return True iff the instruction retired (False: a syscall
 blocked and will be retried).  Instructions the decoder does not recognize
@@ -51,11 +105,13 @@ The machine's run loop executes the steps a scheduler has leased to one
 thread as a batch, a single inner loop over one of the tables above
 (:meth:`Machine.run <repro.vm.machine.Machine.run>`), and reads the kind
 once per step: the record loop picks the ``fast`` or ``rec`` closure by
-it, and every loop ends the batch before a ``KIND_STOP`` pc.  The stop
-set is SYS and HALT (their effects reach other threads, the exit flag and
-the global step clock), undecoded fallback shapes, and any instruction
-that can leave ``pc`` outside the code without raising.  A stop pc still
-runs, as the picked first step of a batch.
+it, and every loop ends the batch before a ``KIND_STOP`` pc.  A shape's
+kind follows from its body (no memory line: plain; one: slot); SYS is
+``KIND_MEM``, and a fallback pc takes the kind of its opcode's shapes.
+The stop set is SYS and HALT (their effects reach other threads, the exit
+flag and the global step clock), undecoded fallback shapes, and any
+instruction that can leave ``pc`` outside the code without raising.  A
+stop pc still runs, as the picked first step of a batch.
 
 The handler tables are keyed by the *identity* of ``program.instructions``
 so a relinked or mutated program is transparently re-decoded.
@@ -63,9 +119,12 @@ so a relinked or mutated program is transparently re-decoded.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+import linecache
+import re
+import textwrap
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.isa.instructions import Instr, Mem, Opcode
+from repro.isa.instructions import Instr, Opcode
 from repro.vm.errors import VMError
 from repro.vm.thread import EXIT_SENTINEL
 
@@ -74,37 +133,451 @@ TracedHandler = Callable[..., bool]
 RecordHandler = Callable[..., bool]
 
 _CACHE_ATTR = "_microop_tables"
+_EFFECTS_ATTR = "_microop_effects"
 
-#: Opcodes whose handlers can touch memory.  SYS is included because
-#: ``spawn`` writes the child's argument slot through
-#: ``Machine._cur_mem_writes`` (see create_thread).  Only these pcs get
-#: a record handler; the fast record path runs everything else untraced.
-MEM_OPCODES = frozenset((
-    Opcode.LD, Opcode.ST, Opcode.PUSH, Opcode.POP,
-    Opcode.CALL, Opcode.ICALL, Opcode.RET, Opcode.SYS,
-))
-
-#: Opcodes whose handlers can *write* memory (LD/POP/RET only read it;
-#: POP and RET write registers).  The flow-mode selective table reports
-#: these pcs' written addresses through ``sink.on_wset`` so a scaffold
-#: pass can collect the region's written-address set.  SYS is handled
-#: separately (its write arrives via ``Machine._cur_mem_writes``).
-_WRITING_MEM_OPCODES = frozenset((
-    Opcode.ST, Opcode.PUSH, Opcode.CALL, Opcode.ICALL,
-))
-
-
-#: Per-pc step kinds (see the module docstring).  KIND_SLOT marks an
-#: opcode whose every execution touches exactly one address, which the
+#: Per-pc step kinds (see the module docstring).  KIND_SLOT marks a
+#: shape whose every execution touches exactly one address, which the
 #: record loop checks against the recorder's window; adding KIND_STOP
 #: marks a pc a run batch must end before (see _batch_stop).
 KIND_PLAIN, KIND_MEM, KIND_SLOT, KIND_STOP = 0, 1, 2, 3
 
-_ONE_SLOT_OPCODES = frozenset((
-    Opcode.LD, Opcode.ST, Opcode.PUSH, Opcode.POP,
-    Opcode.CALL, Opcode.ICALL, Opcode.RET,
-))
 
+class Shape(NamedTuple):
+    """One instruction shape: what it matches and its one body."""
+
+    opcodes: Tuple[str, ...]
+    kinds: str
+    params: str
+    body: str
+    setup: str = ""
+
+
+#: The shape table: one description per decodable non-SYS shape.
+SHAPES: Dict[str, Shape] = {
+    "mov_imm": Shape((Opcode.MOV, Opcode.LEA), "ri", "rd value", """
+        W(rd, value)
+        thread.pc = next_pc
+    """),
+    "mov_reg": Shape((Opcode.MOV, Opcode.LEA), "rr", "rd rs", """
+        value = R(rs)
+        W(rd, value)
+        thread.pc = next_pc
+    """),
+    "ld": Shape((Opcode.LD,), "rm", "rd rb offset", """
+        base = R(rb)
+        addr = int(base) + offset
+        value = MR(addr)
+        W(rd, value)
+        thread.pc = next_pc
+    """),
+    "st_imm": Shape((Opcode.ST,), "mi", "rb offset value", """
+        base = R(rb)
+        addr = int(base) + offset
+        MW(addr, value)
+        thread.pc = next_pc
+    """),
+    "st_reg": Shape((Opcode.ST,), "mr", "rb offset rs", """
+        base = R(rb)
+        value = R(rs)
+        addr = int(base) + offset
+        MW(addr, value)
+        thread.pc = next_pc
+    """),
+    "binop_rr": Shape((Opcode.BINOP,), "rrr", "rd ra rb", """
+        a = R(ra)
+        b = R(rb)
+        W(rd, OP)
+        thread.pc = next_pc
+    """),
+    "binop_ri": Shape((Opcode.BINOP,), "rri", "rd ra b", """
+        a = R(ra)
+        W(rd, OP)
+        thread.pc = next_pc
+    """),
+    "binop_ir": Shape((Opcode.BINOP,), "rir", "rd a rb", """
+        b = R(rb)
+        W(rd, OP)
+        thread.pc = next_pc
+    """),
+    "binop_ii": Shape((Opcode.BINOP,), "rii", "rd a b", """
+        W(rd, OP)
+        thread.pc = next_pc
+    """),
+    "unop_r": Shape((Opcode.UNOP,), "rr", "rd ra", """
+        a = R(ra)
+        W(rd, OP)
+        thread.pc = next_pc
+    """),
+    "unop_i": Shape((Opcode.UNOP,), "ri", "rd a", """
+        W(rd, OP)
+        thread.pc = next_pc
+    """),
+    "jmp": Shape((Opcode.JMP,), "i", "target", """
+        thread.pc = target
+    """, setup="target = int(target)"),
+    "br": Shape((Opcode.BR,), "ri", "rc target", """
+        cond = R(rc)
+        thread.pc = target if cond != 0 else next_pc
+    """, setup="target = int(target)"),
+    "brz": Shape((Opcode.BRZ,), "ri", "rc target", """
+        cond = R(rc)
+        thread.pc = target if cond == 0 else next_pc
+    """, setup="target = int(target)"),
+    "ijmp": Shape((Opcode.IJMP,), "r", "rt", """
+        value = R(rt)
+        target = int(value)
+        if not 0 <= target < code_len:
+            raise VMError("control transfer to bad address %d" % target,
+                          tid=thread.tid, pc=thread.pc)
+        thread.pc = target
+    """),
+    "call": Shape((Opcode.CALL,), "i", "target", """
+        if not target_ok:
+            raise VMError("control transfer to bad address %d" % target,
+                          tid=thread.tid, pc=thread.pc)
+        sp0 = R("sp")
+        sp = int(sp0) - 1
+        if sp <= thread.stack_limit:
+            raise VMError("stack overflow", tid=thread.tid, pc=pc)
+        MW(sp, next_pc)
+        W("sp", sp)
+        thread.push_frame(func_name, pc, next_pc)
+        thread.pc = target
+    """, setup="""
+        target = int(target)
+        target_ok = 0 <= target < code_len
+        function = program.function_at(target) if target_ok else None
+        func_name = function.name if function else "<anon>"
+    """),
+    "icall": Shape((Opcode.ICALL,), "r", "rt", """
+        value = R(rt)
+        target = int(value)
+        if not 0 <= target < code_len:
+            raise VMError("control transfer to bad address %d" % target,
+                          tid=thread.tid, pc=thread.pc)
+        sp0 = R("sp")
+        sp = int(sp0) - 1
+        if sp <= thread.stack_limit:
+            raise VMError("stack overflow", tid=thread.tid, pc=pc)
+        MW(sp, next_pc)
+        W("sp", sp)
+        function = function_at(target)
+        thread.push_frame(function.name if function else "<anon>",
+                          pc, next_pc)
+        thread.pc = target
+    """, setup="function_at = program.function_at"),
+    "ret": Shape((Opcode.RET,), "", "", """
+        sp0 = R("sp")
+        sp = int(sp0)
+        raw = MR(sp)
+        ret_addr = int(raw)
+        W("sp", sp + 1)
+        thread.pop_frame()
+        if ret_addr == EXIT_SENTINEL:
+            thread.pc = next_pc
+            machine._finish_thread(thread)
+        elif not 0 <= ret_addr < code_len:
+            raise VMError("control transfer to bad address %d" % ret_addr,
+                          tid=thread.tid, pc=thread.pc)
+        else:
+            thread.pc = ret_addr
+    """),
+    "push_imm": Shape((Opcode.PUSH,), "i", "value", """
+        sp0 = R("sp")
+        sp = int(sp0) - 1
+        if sp <= thread.stack_limit:
+            raise VMError("stack overflow", tid=thread.tid, pc=pc)
+        MW(sp, value)
+        W("sp", sp)
+        thread.pc = next_pc
+    """),
+    "push_reg": Shape((Opcode.PUSH,), "r", "rs", """
+        value = R(rs)
+        sp0 = R("sp")
+        sp = int(sp0) - 1
+        if sp <= thread.stack_limit:
+            raise VMError("stack overflow", tid=thread.tid, pc=pc)
+        MW(sp, value)
+        W("sp", sp)
+        thread.pc = next_pc
+    """),
+    "pop": Shape((Opcode.POP,), "r", "rd", """
+        sp0 = R("sp")
+        sp = int(sp0)
+        value = MR(sp)
+        W(rd, value)
+        W("sp", sp + 1)
+        thread.pc = next_pc
+    """),
+    "halt": Shape((Opcode.HALT,), "", "", """
+        thread.pc = next_pc
+        machine.request_exit(0)
+    """),
+    "nop": Shape((Opcode.NOP,), "", "", """
+        thread.pc = next_pc
+    """),
+}
+
+#: Subop expressions over ``a`` and ``b``, spliced for ``OP`` in the
+#: BINOP and UNOP bodies.  div and mod raise with the faulting tid and pc.
+SUBOPS: Dict[str, Dict[str, str]] = {
+    Opcode.BINOP: {
+        "add": "a + b", "sub": "a - b", "mul": "a * b",
+        "div": "_div(a, b, thread, pc)", "mod": "_mod(a, b, thread, pc)",
+        "and": "int(a) & int(b)", "or": "int(a) | int(b)",
+        "xor": "int(a) ^ int(b)", "shl": "int(a) << int(b)",
+        "shr": "int(a) >> int(b)",
+        "eq": "int(a == b)", "ne": "int(a != b)", "lt": "int(a < b)",
+        "le": "int(a <= b)", "gt": "int(a > b)", "ge": "int(a >= b)",
+    },
+    Opcode.UNOP: {
+        "neg": "-a", "not": "int(not a)", "int": "int(a)",
+        "float": "float(a)",
+    },
+}
+
+
+def _div(a, b, thread, pc):
+    if b == 0:
+        raise VMError("division by zero", tid=thread.tid, pc=pc)
+    if isinstance(a, int) and isinstance(b, int):
+        quotient = abs(a) // abs(b)
+        return quotient if (a >= 0) == (b >= 0) else -quotient
+    return a / b
+
+
+def _mod(a, b, thread, pc):
+    if b == 0:
+        raise VMError("modulo by zero", tid=thread.tid, pc=pc)
+    return int(a) - int(b) * (abs(int(a)) // abs(int(b))) * (
+        1 if (a >= 0) == (b >= 0) else -1)
+
+
+# -- decoding an instruction to its shape --------------------------------------
+
+_BY_MATCH = {(op, shape.kinds): name
+             for name, shape in SHAPES.items() for op in shape.opcodes}
+
+
+def _shape_of(instr: Instr) -> Tuple[str, list, Optional[str]]:
+    """(shape name, parameter values, subop) of ``instr``; ValueError if
+    no shape matches.  Needs only the instruction, not the program."""
+    kinds = instr.operand_kinds()
+    name = _BY_MATCH.get((instr.op, kinds))
+    if name is None:
+        raise ValueError("undecodable %s shape %r" % (instr.op, kinds))
+    subop = None
+    if instr.op in SUBOPS:
+        subop = instr.subop
+        if subop not in SUBOPS[instr.op]:
+            raise ValueError("undecodable %s subop %r" % (instr.op, subop))
+    args = []
+    for code, operand in zip(kinds, instr.operands):
+        if code == "r":
+            args.append(operand.name)
+        elif code == "i":
+            args.append(operand.value)
+        else:
+            base = operand.base
+            if not hasattr(base, "name"):
+                raise ValueError("undecodable memory base %r" % (base,))
+            args.extend((base.name, operand.offset))
+    return name, args, subop
+
+
+# -- the generator ---------------------------------------------------------------
+
+_READ_LINE = re.compile(r'(\s*)(\w+) = (R|MR)\((\w+|"\w+")\)$')
+_WRITE_LINE = re.compile(r'(\s*)(W|MW)\((\w+|"\w+"), (.+)\)$')
+_NAME = re.compile(r"\w+$")
+
+#: How each variant reports an effect line, by effect.
+_REPORT = {
+    "fast": {"R": (), "MR": (), "W": (), "MW": ()},
+    "traced": {"R": ("rr.append(({loc}, {x}))",),
+               "MR": ("mr.append(({loc}, {x}))",),
+               "W": ("rw.append(({loc}, {x}))",),
+               "MW": ("mw.append(({loc}, {x}))",)},
+    "rec": {"R": (), "MR": ("mr.append({loc})",), "W": (),
+            "MW": ("mw.append({loc})",)},
+}
+_DO = {"R": "{x} = regs[{loc}]", "MR": "{x} = machine.memory.read({loc})",
+       "W": "regs[{loc}] = {x}", "MW": "machine.memory.write({loc}, {x})"}
+_SIGNATURE = {"fast": "machine, thread",
+              "traced": "machine, thread, rr, rw, mr, mw",
+              "rec": "machine, thread, mr, mw"}
+
+
+def _effects(body: str) -> List[Tuple[str, str]]:
+    """The (effect, reg|addr) pairs of a body's effect lines, in order."""
+    out = []
+    for line in body.splitlines():
+        match = _READ_LINE.match(line)
+        if match:
+            out.append((match.group(3), match.group(4)))
+            continue
+        match = _WRITE_LINE.match(line)
+        if match:
+            out.append((match.group(2), match.group(3)))
+    return out
+
+
+def _variant(variant: str, body: str) -> List[str]:
+    """One handler's source lines, effect lines expanded for ``variant``."""
+    lines = ["def %s(%s):" % (variant, _SIGNATURE[variant])]
+    if any(effect in ("R", "W") for effect, _ in _effects(body)):
+        lines.append("    regs = thread.regs")
+    for line in body.splitlines():
+        match = _READ_LINE.match(line)
+        if match:
+            indent, x, effect, loc = match.groups()
+        else:
+            match = _WRITE_LINE.match(line)
+            if match is None:
+                lines.append("    " + line)
+                continue
+            indent, effect, loc, x = match.groups()
+            if variant == "traced" and not _NAME.match(x):
+                # A reported value is computed once.
+                lines.append("    %s_v = %s" % (indent, x))
+                x = "_v"
+        for template in (_DO[effect],) + _REPORT[variant][effect]:
+            lines.append("    " + indent + template.format(x=x, loc=loc))
+    lines.append("    return True")
+    return lines
+
+
+def _source(name: str, subop: Optional[str]) -> str:
+    shape = SHAPES[name]
+    body = textwrap.dedent(shape.body).strip("\n")
+    if subop is not None:
+        body = re.sub(r"\bOP\b", SUBOPS[shape.opcodes[0]][subop], body)
+    variants = ["fast", "traced"]
+    if any(effect in ("MR", "MW") for effect, _ in _effects(body)):
+        variants.append("rec")
+    params = shape.params.split() + ["pc", "code_len", "program"]
+    out = ["def make(%s):" % ", ".join(params), "    next_pc = pc + 1"]
+    for line in textwrap.dedent(shape.setup).strip("\n").splitlines():
+        out.append("    " + line)
+    for variant in variants:
+        out.append("")
+        out.extend("    " + line for line in _variant(variant, body))
+    if len(variants) == 2:
+        variants.append("None")
+    out.extend(("", "    return %s" % ", ".join(variants)))
+    return "\n".join(out) + "\n"
+
+
+_FACTORIES: Dict[Tuple[str, Optional[str]], Callable] = {}
+_GLOBALS = {"VMError": VMError, "EXIT_SENTINEL": EXIT_SENTINEL,
+            "_div": _div, "_mod": _mod}
+
+
+def _factory(name: str, subop: Optional[str]) -> Callable:
+    """The compiled factory of shape ``name`` (with ``subop`` spliced)."""
+    key = (name, subop)
+    factory = _FACTORIES.get(key)
+    if factory is None:
+        source = _source(name, subop)
+        filename = "<microop %s>" % " ".join(filter(None, key))
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(True), filename)
+        namespace = dict(_GLOBALS)
+        exec(compile(source, filename, "exec"), namespace)
+        factory = _FACTORIES[key] = namespace["make"]
+    return factory
+
+
+# -- static effects ---------------------------------------------------------------
+
+class InstrEffects(NamedTuple):
+    """What an instruction does, read from its shape's body."""
+
+    #: Registers read and written, deduped, in traced order.
+    reads: Tuple[str, ...]
+    writes: Tuple[str, ...]
+    reads_mem: bool
+    writes_mem: bool
+
+
+#: SYS runs ``Machine._do_syscall``: it reads the argument registers,
+#: writes ``r0`` only when a result is returned (the no-result variant is
+#: listed), and ``spawn`` writes the child's argument slot.
+_SYS_EFFECTS = InstrEffects(("r0", "r1", "r2", "r3"), (), False, True)
+
+
+def _static(shape: Shape) -> tuple:
+    """(register reads, register writes, reads memory, writes memory) of
+    a shape's body; a register is a parameter index or a literal name."""
+    params = shape.params.split()
+    reads: list = []
+    writes: list = []
+    reads_mem = writes_mem = False
+    for effect, loc in _effects(shape.body):
+        if effect == "MR":
+            reads_mem = True
+        elif effect == "MW":
+            writes_mem = True
+        else:
+            reg = loc.strip('"') if loc[0] == '"' else params.index(loc)
+            (reads if effect == "R" else writes).append(reg)
+    return tuple(reads), tuple(writes), reads_mem, writes_mem
+
+
+_STATIC = {name: _static(shape) for name, shape in SHAPES.items()}
+
+
+def _registers(regs: tuple, args: list) -> Tuple[str, ...]:
+    names = [args[reg] if reg.__class__ is int else reg for reg in regs]
+    return tuple(dict.fromkeys(names)) if len(names) > 1 else tuple(names)
+
+
+def instr_effects(instr: Instr) -> InstrEffects:
+    """Static register and memory effects of ``instr``.
+
+    Raises :class:`ValueError` for a shape the decoder would not decode."""
+    if instr.op == Opcode.SYS:
+        return _SYS_EFFECTS
+    name, args, _subop = _shape_of(instr)
+    reads, writes, reads_mem, writes_mem = _STATIC[name]
+    return InstrEffects(_registers(reads, args), _registers(writes, args),
+                        reads_mem, writes_mem)
+
+
+def program_effects(program) -> List[Optional[InstrEffects]]:
+    """:func:`instr_effects` of every pc (``None`` where no shape
+    matches), cached on ``program`` like the handler tables."""
+    cached = getattr(program, _EFFECTS_ATTR, None)
+    if cached is not None and cached[0] is program.instructions:
+        return cached[1]
+    effects: List[Optional[InstrEffects]] = []
+    for instr in program.instructions:
+        try:
+            effects.append(instr_effects(instr))
+        except ValueError:
+            effects.append(None)
+    try:
+        setattr(program, _EFFECTS_ATTR, (program.instructions, effects))
+    except AttributeError:
+        pass   # exotic program object without a __dict__; just don't cache
+    return effects
+
+
+def _shape_kind(shape: Shape) -> int:
+    memory = sum(effect in ("MR", "MW") for effect, _ in _effects(shape.body))
+    if not memory:
+        return KIND_PLAIN
+    return KIND_SLOT if memory == 1 else KIND_MEM
+
+
+_SHAPE_KIND = {name: _shape_kind(shape) for name, shape in SHAPES.items()}
+#: A fallback pc's kind: that of its opcode's shapes (every opcode but
+#: SYS has shapes, and an opcode's shapes share one kind).
+_OPCODE_KIND = {op: _SHAPE_KIND[name]
+                for name, shape in SHAPES.items() for op in shape.opcodes}
+
+
+# -- the program tables ------------------------------------------------------------
 
 def decode_program(program) -> Tuple[List[FastHandler], List[TracedHandler],
                                      List[Optional[RecordHandler]],
@@ -121,22 +594,30 @@ def decode_program(program) -> Tuple[List[FastHandler], List[TracedHandler],
     rec_table: List[Optional[RecordHandler]] = []
     kinds: List[int] = []
     for pc, instr in enumerate(instructions):
-        try:
-            fast, traced = _decode_instr(program, instr, pc, code_len)
-        except Exception:
-            # Unknown shape: preserve the seed interpreter's behavior
-            # (including its runtime errors) by delegating per execution.
-            fast, traced = _make_fallback(instr, pc)
+        if instr.op == Opcode.SYS:
+            fast, traced = _sys_handlers(instr, pc)
+            rec = _record_via_traced(traced)
+            kind = KIND_MEM
             stop = True
         else:
-            stop = _batch_stop(instr, pc, code_len)
+            try:
+                name, args, subop = _shape_of(instr)
+                fast, traced, rec = _factory(name, subop)(
+                    *args, pc, code_len, program)
+            except Exception:
+                # Unknown shape: preserve the seed interpreter's behavior
+                # (including its runtime errors) by delegating per
+                # execution.
+                fast, traced = _make_fallback(instr, pc)
+                kind = _OPCODE_KIND[instr.op]
+                rec = _record_via_traced(traced) if kind else None
+                stop = True
+            else:
+                kind = _SHAPE_KIND[name]
+                stop = _batch_stop(instr, pc, code_len)
         fast_table.append(fast)
         traced_table.append(traced)
-        rec_table.append(_record_handler(program, instr, pc, code_len,
-                                         traced))
-        kind = (KIND_PLAIN if instr.op not in MEM_OPCODES
-                else KIND_SLOT if instr.op in _ONE_SLOT_OPCODES
-                else KIND_MEM)
+        rec_table.append(rec)
         kinds.append(kind + KIND_STOP if stop else kind)
     tables = (fast_table, traced_table, rec_table, kinds)
     try:
@@ -179,799 +660,7 @@ def _make_fallback(instr: Instr, pc: int):
     return fast, traced
 
 
-# -- arithmetic micro-op kernels ---------------------------------------------
-#
-# Shared 2-arg kernels for the subops whose semantics need no error context;
-# div/mod get dedicated closures because they raise VMError with tid/pc.
-
-def _k_add(a, b):
-    return a + b
-
-
-def _k_sub(a, b):
-    return a - b
-
-
-def _k_mul(a, b):
-    return a * b
-
-
-def _k_and(a, b):
-    return int(a) & int(b)
-
-
-def _k_or(a, b):
-    return int(a) | int(b)
-
-
-def _k_xor(a, b):
-    return int(a) ^ int(b)
-
-
-def _k_shl(a, b):
-    return int(a) << int(b)
-
-
-def _k_shr(a, b):
-    return int(a) >> int(b)
-
-
-def _k_eq(a, b):
-    return int(a == b)
-
-
-def _k_ne(a, b):
-    return int(a != b)
-
-
-def _k_lt(a, b):
-    return int(a < b)
-
-
-def _k_le(a, b):
-    return int(a <= b)
-
-
-def _k_gt(a, b):
-    return int(a > b)
-
-
-def _k_ge(a, b):
-    return int(a >= b)
-
-
-_SIMPLE_BINOPS = {
-    "add": _k_add, "sub": _k_sub, "mul": _k_mul,
-    "and": _k_and, "or": _k_or, "xor": _k_xor,
-    "shl": _k_shl, "shr": _k_shr,
-    "eq": _k_eq, "ne": _k_ne, "lt": _k_lt, "le": _k_le,
-    "gt": _k_gt, "ge": _k_ge,
-}
-
-
-def _make_div_kernel(pc: int):
-    def div(a, b, thread):
-        if b == 0:
-            raise VMError("division by zero", tid=thread.tid, pc=pc)
-        if isinstance(a, int) and isinstance(b, int):
-            quotient = abs(a) // abs(b)
-            return quotient if (a >= 0) == (b >= 0) else -quotient
-        return a / b
-    return div
-
-
-def _make_mod_kernel(pc: int):
-    def mod(a, b, thread):
-        if b == 0:
-            raise VMError("modulo by zero", tid=thread.tid, pc=pc)
-        return int(a) - int(b) * (abs(int(a)) // abs(int(b))) * (
-            1 if (a >= 0) == (b >= 0) else -1)
-    return mod
-
-
-def _k_neg(a):
-    return -a
-
-
-def _k_not(a):
-    return int(not a)
-
-
-def _k_int(a):
-    return int(a)
-
-
-def _k_float(a):
-    return float(a)
-
-
-_UNOPS = {"neg": _k_neg, "not": _k_not, "int": _k_int, "float": _k_float}
-
-
-# -- the decoder -------------------------------------------------------------
-
-def _decode_instr(program, instr: Instr, pc: int, code_len: int):
-    op = instr.op
-    ops = instr.operands
-    kinds = instr.operand_kinds()
-    next_pc = pc + 1
-
-    if op == Opcode.MOV or op == Opcode.LEA:
-        # After linking, a LEA's label operand is an Imm address — both
-        # opcodes reduce to an immediate-load or register-copy shape.
-        if kinds == "ri":
-            return _decode_mov_imm(ops[0].name, ops[1].value, next_pc)
-        if kinds == "rr":
-            return _decode_mov_reg(ops[0].name, ops[1].name, next_pc)
-        raise ValueError("undecodable %s shape %r" % (op, kinds))
-    if op == Opcode.LD:
-        return _decode_ld(ops[0].name, ops[1], next_pc)
-    if op == Opcode.ST:
-        return _decode_st(ops[0], ops[1], kinds, next_pc)
-    if op == Opcode.BINOP:
-        return _decode_binop(instr.subop, ops[0].name, ops[1], ops[2],
-                             kinds, pc, next_pc)
-    if op == Opcode.UNOP:
-        return _decode_unop(instr.subop, ops[0].name, ops[1], kinds,
-                            next_pc)
-    if op == Opcode.JMP:
-        return _decode_jmp(int(ops[0].value))
-    if op == Opcode.BR:
-        return _decode_br(ops[0].name, int(ops[1].value), next_pc, False)
-    if op == Opcode.BRZ:
-        return _decode_br(ops[0].name, int(ops[1].value), next_pc, True)
-    if op == Opcode.IJMP:
-        return _decode_ijmp(ops[0].name, code_len)
-    if op == Opcode.CALL:
-        return _decode_call(program, int(ops[0].value), pc, code_len)
-    if op == Opcode.ICALL:
-        return _decode_icall(program, ops[0].name, pc, code_len)
-    if op == Opcode.RET:
-        return _decode_ret(next_pc, code_len)
-    if op == Opcode.PUSH:
-        return _decode_push(ops[0], kinds, pc, next_pc)
-    if op == Opcode.POP:
-        return _decode_pop(ops[0].name, next_pc)
-    if op == Opcode.SYS:
-        return _decode_sys(instr, pc)
-    if op == Opcode.HALT:
-        return _decode_halt(next_pc)
-    if op == Opcode.NOP:
-        return _decode_nop(next_pc)
-    raise ValueError("undecodable opcode %r" % (op,))
-
-
-# MOV / LEA ------------------------------------------------------------------
-
-def _decode_mov_imm(rd: str, value, next_pc: int):
-    def fast(machine, thread) -> bool:
-        thread.regs[rd] = value
-        thread.pc = next_pc
-        return True
-
-    def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        thread.regs[rd] = value
-        rw.append((rd, value))
-        thread.pc = next_pc
-        return True
-
-    return fast, traced
-
-
-def _decode_mov_reg(rd: str, rs: str, next_pc: int):
-    def fast(machine, thread) -> bool:
-        regs = thread.regs
-        regs[rd] = regs[rs]
-        thread.pc = next_pc
-        return True
-
-    def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        regs = thread.regs
-        value = regs[rs]
-        rr.append((rs, value))
-        regs[rd] = value
-        rw.append((rd, value))
-        thread.pc = next_pc
-        return True
-
-    return fast, traced
-
-
-# LD / ST --------------------------------------------------------------------
-
-def _decode_ld(rd: str, mem: Mem, next_pc: int):
-    rb = mem.base.name
-    offset = mem.offset
-
-    def fast(machine, thread) -> bool:
-        regs = thread.regs
-        value = machine.memory.read(int(regs[rb]) + offset)
-        regs[rd] = value
-        thread.pc = next_pc
-        return True
-
-    def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        regs = thread.regs
-        base = regs[rb]
-        rr.append((rb, base))
-        addr = int(base) + offset
-        value = machine.memory.read(addr)
-        mr.append((addr, value))
-        regs[rd] = value
-        rw.append((rd, value))
-        thread.pc = next_pc
-        return True
-
-    return fast, traced
-
-
-def _decode_st(mem: Mem, src, kinds: str, next_pc: int):
-    rb = mem.base.name
-    offset = mem.offset
-    if kinds == "mi":
-        value = src.value
-
-        def fast(machine, thread) -> bool:
-            machine.memory.write(int(thread.regs[rb]) + offset, value)
-            thread.pc = next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            base = thread.regs[rb]
-            rr.append((rb, base))
-            addr = int(base) + offset
-            machine.memory.write(addr, value)
-            mw.append((addr, value))
-            thread.pc = next_pc
-            return True
-
-        return fast, traced
-    if kinds == "mr":
-        rs = src.name
-
-        def fast(machine, thread) -> bool:
-            regs = thread.regs
-            machine.memory.write(int(regs[rb]) + offset, regs[rs])
-            thread.pc = next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            regs = thread.regs
-            base = regs[rb]
-            rr.append((rb, base))
-            value = regs[rs]
-            rr.append((rs, value))
-            addr = int(base) + offset
-            machine.memory.write(addr, value)
-            mw.append((addr, value))
-            thread.pc = next_pc
-            return True
-
-        return fast, traced
-    raise ValueError("undecodable st shape %r" % (kinds,))
-
-
-# BINOP / UNOP ---------------------------------------------------------------
-
-def _decode_binop(subop, rd: str, a, b, kinds: str, pc: int, next_pc: int):
-    if kinds not in ("rrr", "rri", "rir", "rii"):
-        raise ValueError("undecodable binop shape %r" % (kinds,))
-    a_reg = kinds[1] == "r"
-    b_reg = kinds[2] == "r"
-
-    kernel = _SIMPLE_BINOPS.get(subop)
-    if kernel is None:
-        if subop == "div":
-            kernel3 = _make_div_kernel(pc)
-        elif subop == "mod":
-            kernel3 = _make_mod_kernel(pc)
-        else:
-            raise ValueError("undecodable binop subop %r" % (subop,))
-        return _decode_binop3(kernel3, rd, a, b, a_reg, b_reg, next_pc)
-
-    if a_reg and b_reg:
-        ra, rb = a.name, b.name
-
-        def fast(machine, thread) -> bool:
-            regs = thread.regs
-            regs[rd] = kernel(regs[ra], regs[rb])
-            thread.pc = next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            regs = thread.regs
-            va = regs[ra]
-            rr.append((ra, va))
-            vb = regs[rb]
-            rr.append((rb, vb))
-            value = kernel(va, vb)
-            regs[rd] = value
-            rw.append((rd, value))
-            thread.pc = next_pc
-            return True
-
-        return fast, traced
-    if a_reg:
-        ra, vb = a.name, b.value
-
-        def fast(machine, thread) -> bool:
-            regs = thread.regs
-            regs[rd] = kernel(regs[ra], vb)
-            thread.pc = next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            regs = thread.regs
-            va = regs[ra]
-            rr.append((ra, va))
-            value = kernel(va, vb)
-            regs[rd] = value
-            rw.append((rd, value))
-            thread.pc = next_pc
-            return True
-
-        return fast, traced
-    if b_reg:
-        va, rb = a.value, b.name
-
-        def fast(machine, thread) -> bool:
-            regs = thread.regs
-            regs[rd] = kernel(va, regs[rb])
-            thread.pc = next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            regs = thread.regs
-            vb = regs[rb]
-            rr.append((rb, vb))
-            value = kernel(va, vb)
-            regs[rd] = value
-            rw.append((rd, value))
-            thread.pc = next_pc
-            return True
-
-        return fast, traced
-    # Both immediates: constant-fold when the kernel cannot raise on these
-    # inputs; otherwise evaluate at runtime (preserves seed error behavior).
-    try:
-        folded = kernel(a.value, b.value)
-    except Exception:
-        va, vb = a.value, b.value
-
-        def fast(machine, thread) -> bool:
-            thread.regs[rd] = kernel(va, vb)
-            thread.pc = next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            value = kernel(va, vb)
-            thread.regs[rd] = value
-            rw.append((rd, value))
-            thread.pc = next_pc
-            return True
-
-        return fast, traced
-    return _decode_mov_imm(rd, folded, next_pc)
-
-
-def _decode_binop3(kernel3, rd: str, a, b, a_reg: bool, b_reg: bool,
-                   next_pc: int):
-    """div/mod: the kernel needs the thread for VMError context."""
-    if a_reg and b_reg:
-        ra, rb = a.name, b.name
-
-        def fast(machine, thread) -> bool:
-            regs = thread.regs
-            regs[rd] = kernel3(regs[ra], regs[rb], thread)
-            thread.pc = next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            regs = thread.regs
-            va = regs[ra]
-            rr.append((ra, va))
-            vb = regs[rb]
-            rr.append((rb, vb))
-            value = kernel3(va, vb, thread)
-            regs[rd] = value
-            rw.append((rd, value))
-            thread.pc = next_pc
-            return True
-
-        return fast, traced
-    if a_reg:
-        ra, vb = a.name, b.value
-
-        def fast(machine, thread) -> bool:
-            regs = thread.regs
-            regs[rd] = kernel3(regs[ra], vb, thread)
-            thread.pc = next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            regs = thread.regs
-            va = regs[ra]
-            rr.append((ra, va))
-            value = kernel3(va, vb, thread)
-            regs[rd] = value
-            rw.append((rd, value))
-            thread.pc = next_pc
-            return True
-
-        return fast, traced
-    if b_reg:
-        va, rb = a.value, b.name
-
-        def fast(machine, thread) -> bool:
-            regs = thread.regs
-            regs[rd] = kernel3(va, regs[rb], thread)
-            thread.pc = next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            regs = thread.regs
-            vb = regs[rb]
-            rr.append((rb, vb))
-            value = kernel3(va, vb, thread)
-            regs[rd] = value
-            rw.append((rd, value))
-            thread.pc = next_pc
-            return True
-
-        return fast, traced
-    va, vb = a.value, b.value
-
-    def fast(machine, thread) -> bool:
-        thread.regs[rd] = kernel3(va, vb, thread)
-        thread.pc = next_pc
-        return True
-
-    def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        value = kernel3(va, vb, thread)
-        thread.regs[rd] = value
-        rw.append((rd, value))
-        thread.pc = next_pc
-        return True
-
-    return fast, traced
-
-
-def _decode_unop(subop, rd: str, a, kinds: str, next_pc: int):
-    kernel = _UNOPS.get(subop)
-    if kernel is None:
-        raise ValueError("undecodable unop subop %r" % (subop,))
-    if kinds == "rr":
-        ra = a.name
-
-        def fast(machine, thread) -> bool:
-            regs = thread.regs
-            regs[rd] = kernel(regs[ra])
-            thread.pc = next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            regs = thread.regs
-            va = regs[ra]
-            rr.append((ra, va))
-            value = kernel(va)
-            regs[rd] = value
-            rw.append((rd, value))
-            thread.pc = next_pc
-            return True
-
-        return fast, traced
-    if kinds == "ri":
-        try:
-            folded = kernel(a.value)
-        except Exception:
-            va = a.value
-
-            def fast(machine, thread) -> bool:
-                thread.regs[rd] = kernel(va)
-                thread.pc = next_pc
-                return True
-
-            def traced(machine, thread, rr, rw, mr, mw) -> bool:
-                value = kernel(va)
-                thread.regs[rd] = value
-                rw.append((rd, value))
-                thread.pc = next_pc
-                return True
-
-            return fast, traced
-        return _decode_mov_imm(rd, folded, next_pc)
-    raise ValueError("undecodable unop shape %r" % (kinds,))
-
-
-# Control transfer -----------------------------------------------------------
-
-def _decode_jmp(target: int):
-    def fast(machine, thread) -> bool:
-        thread.pc = target
-        return True
-
-    def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        thread.pc = target
-        return True
-
-    return fast, traced
-
-
-def _decode_br(rc: str, target: int, next_pc: int, branch_if_zero: bool):
-    if branch_if_zero:
-        def fast(machine, thread) -> bool:
-            thread.pc = target if thread.regs[rc] == 0 else next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            cond = thread.regs[rc]
-            rr.append((rc, cond))
-            thread.pc = target if cond == 0 else next_pc
-            return True
-    else:
-        def fast(machine, thread) -> bool:
-            thread.pc = target if thread.regs[rc] != 0 else next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            cond = thread.regs[rc]
-            rr.append((rc, cond))
-            thread.pc = target if cond != 0 else next_pc
-            return True
-
-    return fast, traced
-
-
-def _decode_ijmp(rt: str, code_len: int):
-    def fast(machine, thread) -> bool:
-        target = int(thread.regs[rt])
-        if not 0 <= target < code_len:
-            raise VMError("control transfer to bad address %d" % target,
-                          tid=thread.tid, pc=thread.pc)
-        thread.pc = target
-        return True
-
-    def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        value = thread.regs[rt]
-        rr.append((rt, value))
-        target = int(value)
-        if not 0 <= target < code_len:
-            raise VMError("control transfer to bad address %d" % target,
-                          tid=thread.tid, pc=thread.pc)
-        thread.pc = target
-        return True
-
-    return fast, traced
-
-
-def _decode_call(program, target: int, pc: int, code_len: int):
-    ret_pc = pc + 1
-    target_ok = 0 <= target < code_len
-    if target_ok:
-        function = program.function_at(target)
-        func_name = function.name if function else "<anon>"
-    else:
-        func_name = "<anon>"
-
-    def fast(machine, thread) -> bool:
-        if not target_ok:
-            raise VMError("control transfer to bad address %d" % target,
-                          tid=thread.tid, pc=thread.pc)
-        regs = thread.regs
-        sp = int(regs["sp"]) - 1
-        if sp <= thread.stack_limit:
-            raise VMError("stack overflow", tid=thread.tid, pc=pc)
-        machine.memory.write(sp, ret_pc)
-        regs["sp"] = sp
-        thread.push_frame(func_name, pc, ret_pc)
-        thread.pc = target
-        return True
-
-    def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        if not target_ok:
-            raise VMError("control transfer to bad address %d" % target,
-                          tid=thread.tid, pc=thread.pc)
-        regs = thread.regs
-        sp0 = regs["sp"]
-        rr.append(("sp", sp0))
-        sp = int(sp0) - 1
-        if sp <= thread.stack_limit:
-            raise VMError("stack overflow", tid=thread.tid, pc=pc)
-        machine.memory.write(sp, ret_pc)
-        mw.append((sp, ret_pc))
-        regs["sp"] = sp
-        rw.append(("sp", sp))
-        thread.push_frame(func_name, pc, ret_pc)
-        thread.pc = target
-        return True
-
-    return fast, traced
-
-
-def _decode_icall(program, rt: str, pc: int, code_len: int):
-    ret_pc = pc + 1
-    function_at = program.function_at
-
-    def fast(machine, thread) -> bool:
-        regs = thread.regs
-        target = int(regs[rt])
-        if not 0 <= target < code_len:
-            raise VMError("control transfer to bad address %d" % target,
-                          tid=thread.tid, pc=thread.pc)
-        sp = int(regs["sp"]) - 1
-        if sp <= thread.stack_limit:
-            raise VMError("stack overflow", tid=thread.tid, pc=pc)
-        machine.memory.write(sp, ret_pc)
-        regs["sp"] = sp
-        function = function_at(target)
-        thread.push_frame(function.name if function else "<anon>",
-                          pc, ret_pc)
-        thread.pc = target
-        return True
-
-    def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        regs = thread.regs
-        value = regs[rt]
-        rr.append((rt, value))
-        target = int(value)
-        if not 0 <= target < code_len:
-            raise VMError("control transfer to bad address %d" % target,
-                          tid=thread.tid, pc=thread.pc)
-        sp0 = regs["sp"]
-        rr.append(("sp", sp0))
-        sp = int(sp0) - 1
-        if sp <= thread.stack_limit:
-            raise VMError("stack overflow", tid=thread.tid, pc=pc)
-        machine.memory.write(sp, ret_pc)
-        mw.append((sp, ret_pc))
-        regs["sp"] = sp
-        rw.append(("sp", sp))
-        function = function_at(target)
-        thread.push_frame(function.name if function else "<anon>",
-                          pc, ret_pc)
-        thread.pc = target
-        return True
-
-    return fast, traced
-
-
-def _decode_ret(next_pc: int, code_len: int):
-    def fast(machine, thread) -> bool:
-        regs = thread.regs
-        sp = int(regs["sp"])
-        ret_addr = int(machine.memory.read(sp))
-        regs["sp"] = sp + 1
-        thread.pop_frame()
-        if ret_addr == EXIT_SENTINEL:
-            thread.pc = next_pc
-            machine._finish_thread(thread)
-        else:
-            if not 0 <= ret_addr < code_len:
-                raise VMError(
-                    "control transfer to bad address %d" % ret_addr,
-                    tid=thread.tid, pc=thread.pc)
-            thread.pc = ret_addr
-        return True
-
-    def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        regs = thread.regs
-        sp0 = regs["sp"]
-        rr.append(("sp", sp0))
-        sp = int(sp0)
-        raw = machine.memory.read(sp)
-        mr.append((sp, raw))
-        ret_addr = int(raw)
-        regs["sp"] = sp + 1
-        rw.append(("sp", sp + 1))
-        thread.pop_frame()
-        if ret_addr == EXIT_SENTINEL:
-            thread.pc = next_pc
-            machine._finish_thread(thread)
-        else:
-            if not 0 <= ret_addr < code_len:
-                raise VMError(
-                    "control transfer to bad address %d" % ret_addr,
-                    tid=thread.tid, pc=thread.pc)
-            thread.pc = ret_addr
-        return True
-
-    return fast, traced
-
-
-# Stack ----------------------------------------------------------------------
-
-def _decode_push(src, kinds: str, pc: int, next_pc: int):
-    if kinds == "i":
-        value = src.value
-
-        def fast(machine, thread) -> bool:
-            regs = thread.regs
-            sp = int(regs["sp"]) - 1
-            if sp <= thread.stack_limit:
-                raise VMError("stack overflow", tid=thread.tid, pc=pc)
-            machine.memory.write(sp, value)
-            regs["sp"] = sp
-            thread.pc = next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            regs = thread.regs
-            sp0 = regs["sp"]
-            rr.append(("sp", sp0))
-            sp = int(sp0) - 1
-            if sp <= thread.stack_limit:
-                raise VMError("stack overflow", tid=thread.tid, pc=pc)
-            machine.memory.write(sp, value)
-            mw.append((sp, value))
-            regs["sp"] = sp
-            rw.append(("sp", sp))
-            thread.pc = next_pc
-            return True
-
-        return fast, traced
-    if kinds == "r":
-        rs = src.name
-
-        def fast(machine, thread) -> bool:
-            regs = thread.regs
-            value = regs[rs]
-            sp = int(regs["sp"]) - 1
-            if sp <= thread.stack_limit:
-                raise VMError("stack overflow", tid=thread.tid, pc=pc)
-            machine.memory.write(sp, value)
-            regs["sp"] = sp
-            thread.pc = next_pc
-            return True
-
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            regs = thread.regs
-            value = regs[rs]
-            rr.append((rs, value))
-            sp0 = regs["sp"]
-            rr.append(("sp", sp0))
-            sp = int(sp0) - 1
-            if sp <= thread.stack_limit:
-                raise VMError("stack overflow", tid=thread.tid, pc=pc)
-            machine.memory.write(sp, value)
-            mw.append((sp, value))
-            regs["sp"] = sp
-            rw.append(("sp", sp))
-            thread.pc = next_pc
-            return True
-
-        return fast, traced
-    raise ValueError("undecodable push shape %r" % (kinds,))
-
-
-def _decode_pop(rd: str, next_pc: int):
-    def fast(machine, thread) -> bool:
-        regs = thread.regs
-        sp = int(regs["sp"])
-        regs[rd] = machine.memory.read(sp)
-        regs["sp"] = sp + 1
-        thread.pc = next_pc
-        return True
-
-    def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        regs = thread.regs
-        sp0 = regs["sp"]
-        rr.append(("sp", sp0))
-        sp = int(sp0)
-        value = machine.memory.read(sp)
-        mr.append((sp, value))
-        regs[rd] = value
-        rw.append((rd, value))
-        regs["sp"] = sp + 1
-        rw.append(("sp", sp + 1))
-        thread.pc = next_pc
-        return True
-
-    return fast, traced
-
-
-# SYS / HALT / NOP -----------------------------------------------------------
-
-def _decode_sys(instr: Instr, pc: int):
+def _sys_handlers(instr: Instr, pc: int):
     def fast(machine, thread) -> bool:
         return machine._do_syscall(thread, instr, pc, None, None)
 
@@ -981,68 +670,7 @@ def _decode_sys(instr: Instr, pc: int):
     return fast, traced
 
 
-def _decode_halt(next_pc: int):
-    def fast(machine, thread) -> bool:
-        thread.pc = next_pc
-        machine.request_exit(0)
-        return True
-
-    def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        thread.pc = next_pc
-        machine.request_exit(0)
-        return True
-
-    return fast, traced
-
-
-def _decode_nop(next_pc: int):
-    def fast(machine, thread) -> bool:
-        thread.pc = next_pc
-        return True
-
-    def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        thread.pc = next_pc
-        return True
-
-    return fast, traced
-
-
-# -- record handlers ----------------------------------------------------------
-#
-# The record loop of Machine.run only needs the memory addresses an
-# instruction touched, in access order — the recorder's edge detection
-# never looks at values.  Each handler is the untraced closure
-# plus a bare-int append; anything without a dedicated shape below wraps
-# its traced closure and strips the addresses out afterwards.
-
-def _record_handler(program, instr: Instr, pc: int, code_len: int,
-                    traced) -> Optional[RecordHandler]:
-    if instr.op not in MEM_OPCODES:
-        return None
-    try:
-        ops = instr.operands
-        kinds = instr.operand_kinds()
-        next_pc = pc + 1
-        if instr.op == Opcode.LD:
-            return _rec_ld(ops[0].name, ops[1], next_pc)
-        if instr.op == Opcode.ST:
-            return _rec_st(ops[0], ops[1], kinds, next_pc)
-        if instr.op == Opcode.PUSH:
-            return _rec_push(ops[0], kinds, pc, next_pc)
-        if instr.op == Opcode.POP:
-            return _rec_pop(ops[0].name, next_pc)
-        if instr.op == Opcode.CALL:
-            return _rec_call(program, int(ops[0].value), pc, code_len)
-        if instr.op == Opcode.ICALL:
-            return _rec_icall(program, ops[0].name, pc, code_len)
-        if instr.op == Opcode.RET:
-            return _rec_ret(next_pc, code_len)
-    except Exception:
-        pass    # undecodable shape: the traced wrapper preserves behavior
-    return _rec_from_traced(traced)
-
-
-def _rec_from_traced(traced) -> RecordHandler:
+def _record_via_traced(traced) -> RecordHandler:
     """Record handler for SYS and fallback shapes: run the traced closure
     against throwaway lists (plus ``_cur_mem_writes``, where ``spawn``
     deposits the child's argument-slot write) and keep only addresses."""
@@ -1060,172 +688,6 @@ def _rec_from_traced(traced) -> RecordHandler:
             for addr, _value in tmw:
                 mw.append(addr)
         return retired
-    return rec
-
-
-def _rec_ld(rd: str, mem: Mem, next_pc: int) -> RecordHandler:
-    rb = mem.base.name
-    offset = mem.offset
-
-    def rec(machine, thread, mr, mw) -> bool:
-        regs = thread.regs
-        addr = int(regs[rb]) + offset
-        regs[rd] = machine.memory.read(addr)
-        mr.append(addr)
-        thread.pc = next_pc
-        return True
-
-    return rec
-
-
-def _rec_st(mem: Mem, src, kinds: str, next_pc: int) -> RecordHandler:
-    rb = mem.base.name
-    offset = mem.offset
-    if kinds == "mi":
-        value = src.value
-
-        def rec(machine, thread, mr, mw) -> bool:
-            addr = int(thread.regs[rb]) + offset
-            machine.memory.write(addr, value)
-            mw.append(addr)
-            thread.pc = next_pc
-            return True
-
-        return rec
-    if kinds == "mr":
-        rs = src.name
-
-        def rec(machine, thread, mr, mw) -> bool:
-            regs = thread.regs
-            addr = int(regs[rb]) + offset
-            machine.memory.write(addr, regs[rs])
-            mw.append(addr)
-            thread.pc = next_pc
-            return True
-
-        return rec
-    raise ValueError("undecodable st shape %r" % (kinds,))
-
-
-def _rec_push(src, kinds: str, pc: int, next_pc: int) -> RecordHandler:
-    if kinds == "i":
-        value = src.value
-
-        def rec(machine, thread, mr, mw) -> bool:
-            regs = thread.regs
-            sp = int(regs["sp"]) - 1
-            if sp <= thread.stack_limit:
-                raise VMError("stack overflow", tid=thread.tid, pc=pc)
-            machine.memory.write(sp, value)
-            mw.append(sp)
-            regs["sp"] = sp
-            thread.pc = next_pc
-            return True
-
-        return rec
-    if kinds == "r":
-        rs = src.name
-
-        def rec(machine, thread, mr, mw) -> bool:
-            regs = thread.regs
-            value = regs[rs]
-            sp = int(regs["sp"]) - 1
-            if sp <= thread.stack_limit:
-                raise VMError("stack overflow", tid=thread.tid, pc=pc)
-            machine.memory.write(sp, value)
-            mw.append(sp)
-            regs["sp"] = sp
-            thread.pc = next_pc
-            return True
-
-        return rec
-    raise ValueError("undecodable push shape %r" % (kinds,))
-
-
-def _rec_pop(rd: str, next_pc: int) -> RecordHandler:
-    def rec(machine, thread, mr, mw) -> bool:
-        regs = thread.regs
-        sp = int(regs["sp"])
-        regs[rd] = machine.memory.read(sp)
-        mr.append(sp)
-        regs["sp"] = sp + 1
-        thread.pc = next_pc
-        return True
-
-    return rec
-
-
-def _rec_call(program, target: int, pc: int, code_len: int) -> RecordHandler:
-    ret_pc = pc + 1
-    target_ok = 0 <= target < code_len
-    if target_ok:
-        function = program.function_at(target)
-        func_name = function.name if function else "<anon>"
-    else:
-        func_name = "<anon>"
-
-    def rec(machine, thread, mr, mw) -> bool:
-        if not target_ok:
-            raise VMError("control transfer to bad address %d" % target,
-                          tid=thread.tid, pc=thread.pc)
-        regs = thread.regs
-        sp = int(regs["sp"]) - 1
-        if sp <= thread.stack_limit:
-            raise VMError("stack overflow", tid=thread.tid, pc=pc)
-        machine.memory.write(sp, ret_pc)
-        mw.append(sp)
-        regs["sp"] = sp
-        thread.push_frame(func_name, pc, ret_pc)
-        thread.pc = target
-        return True
-
-    return rec
-
-
-def _rec_icall(program, rt: str, pc: int, code_len: int) -> RecordHandler:
-    ret_pc = pc + 1
-    function_at = program.function_at
-
-    def rec(machine, thread, mr, mw) -> bool:
-        regs = thread.regs
-        target = int(regs[rt])
-        if not 0 <= target < code_len:
-            raise VMError("control transfer to bad address %d" % target,
-                          tid=thread.tid, pc=thread.pc)
-        sp = int(regs["sp"]) - 1
-        if sp <= thread.stack_limit:
-            raise VMError("stack overflow", tid=thread.tid, pc=pc)
-        machine.memory.write(sp, ret_pc)
-        mw.append(sp)
-        regs["sp"] = sp
-        function = function_at(target)
-        thread.push_frame(function.name if function else "<anon>",
-                          pc, ret_pc)
-        thread.pc = target
-        return True
-
-    return rec
-
-
-def _rec_ret(next_pc: int, code_len: int) -> RecordHandler:
-    def rec(machine, thread, mr, mw) -> bool:
-        regs = thread.regs
-        sp = int(regs["sp"])
-        ret_addr = int(machine.memory.read(sp))
-        mr.append(sp)
-        regs["sp"] = sp + 1
-        thread.pop_frame()
-        if ret_addr == EXIT_SENTINEL:
-            thread.pc = next_pc
-            machine._finish_thread(thread)
-        else:
-            if not 0 <= ret_addr < code_len:
-                raise VMError(
-                    "control transfer to bad address %d" % ret_addr,
-                    tid=thread.tid, pc=thread.pc)
-            thread.pc = ret_addr
-        return True
-
     return rec
 
 
@@ -1265,49 +727,42 @@ def decode_selective(program, sink) -> List[SelectiveHandler]:
     instruction's register defs/uses, which an opaque shape cannot supply.
     """
     mode = sink.mode
-    instructions = program.instructions
-    code_len = len(instructions)
+    if mode not in ("flow", "mem"):
+        raise ValueError("unknown selective mode %r" % (mode,))
+    fast_table, traced_table, rec_table, _kinds = decode_program(program)
+    effects = program_effects(program)
+    if None in effects:
+        pc = effects.index(None)
+        raise ValueError(
+            "selective decode: undecodable instruction at pc %d (%r)"
+            % (pc, program.instructions[pc].op))
     table: List[SelectiveHandler] = []
     if mode == "mem":
         on_mem = sink.on_mem
         mr: List[int] = []
         mw: List[int] = []
-        for pc, instr in enumerate(instructions):
-            try:
-                _fast, traced = _decode_instr(program, instr, pc, code_len)
-            except Exception:
-                raise ValueError(
-                    "selective decode: undecodable instruction at pc %d (%r)"
-                    % (pc, instr.op))
-            if instr.op in MEM_OPCODES:
-                rec = _record_handler(program, instr, pc, code_len, traced)
-                table.append(_sel_mem(rec, on_mem, mr, mw))
+        for pc, eff in enumerate(effects):
+            if eff.reads_mem or eff.writes_mem:
+                table.append(_sel_mem(rec_table[pc], on_mem, mr, mw))
             else:
-                table.append(_fast)
+                table.append(fast_table[pc])
         return table
-    if mode != "flow":
-        raise ValueError("unknown selective mode %r" % (mode,))
     on_step = sink.on_step
     on_wset = sink.on_wset
     save_addrs = sink.save_addrs
     restore_addrs = sink.restore_addrs
     wmr: List[int] = []
     wmw: List[int] = []
-    for pc, instr in enumerate(instructions):
-        try:
-            fast, traced = _decode_instr(program, instr, pc, code_len)
-        except Exception:
-            raise ValueError(
-                "selective decode: undecodable instruction at pc %d (%r)"
-                % (pc, instr.op))
+    for pc, instr in enumerate(program.instructions):
+        fast = fast_table[pc]
         op = instr.op
         if op == Opcode.BR or op == Opcode.BRZ:
             table.append(_sel_flow_branch(fast, pc, on_step, sink.on_branch))
         elif op == Opcode.IJMP:
             table.append(_sel_flow_ijmp(fast, pc, on_step, sink.on_ijmp))
         elif op == Opcode.SYS:
-            table.append(_sel_flow_sys(traced, pc, on_step, sink.on_sys,
-                                       on_wset))
+            table.append(_sel_flow_sys(traced_table[pc], pc, on_step,
+                                       sink.on_sys, on_wset))
         elif op == Opcode.RET:
             table.append(_sel_flow_ret(fast, pc, on_step, sink.on_ret))
         elif (op == Opcode.PUSH and pc in save_addrs
@@ -1317,10 +772,9 @@ def decode_selective(program, sink) -> List[SelectiveHandler]:
         elif op == Opcode.POP and pc in restore_addrs:
             table.append(_sel_flow_restore(fast, pc, on_step,
                                            sink.on_restore))
-        elif op in _WRITING_MEM_OPCODES:
-            rec = _record_handler(program, instr, pc, code_len, traced)
-            table.append(_sel_flow_write(rec, pc, on_step, on_wset,
-                                         wmr, wmw))
+        elif effects[pc].writes_mem:
+            table.append(_sel_flow_write(rec_table[pc], pc, on_step,
+                                         on_wset, wmr, wmw))
         else:
             table.append(_sel_flow_plain(fast, pc, on_step))
     return table

@@ -13,6 +13,7 @@ from repro.isa.instructions import (
     Reg,
     UNARY_OPS,
 )
+from repro.vm.microops import instr_effects
 
 
 class TestOperands:
@@ -74,56 +75,66 @@ class TestInstrValidation:
         assert set(COMPARE_OPS) <= set(BINARY_OPS)
 
 
+def _defs(instr):
+    return instr_effects(instr).writes
+
+
+def _uses(instr):
+    return instr_effects(instr).reads
+
+
 class TestRegDefsUses:
+    """Static register defs/uses, read from the instruction's shape."""
+
     def test_mov_reg(self):
         instr = Instr(Opcode.MOV, (Reg("r1"), Reg("r2")))
-        assert instr.reg_defs() == ("r1",)
-        assert instr.reg_uses() == ("r2",)
+        assert _defs(instr) == ("r1",)
+        assert _uses(instr) == ("r2",)
 
     def test_mov_imm_has_no_uses(self):
         instr = Instr(Opcode.MOV, (Reg("r1"), Imm(5)))
-        assert instr.reg_uses() == ()
+        assert _uses(instr) == ()
 
     def test_ld_uses_base(self):
         instr = Instr(Opcode.LD, (Reg("r0"), Mem(Reg("fp"), -1)))
-        assert instr.reg_defs() == ("r0",)
-        assert instr.reg_uses() == ("fp",)
+        assert _defs(instr) == ("r0",)
+        assert _uses(instr) == ("fp",)
 
     def test_st_uses_base_and_source(self):
         instr = Instr(Opcode.ST, (Mem(Reg("fp"), -1), Reg("r3")))
-        assert instr.reg_defs() == ()
-        assert set(instr.reg_uses()) == {"fp", "r3"}
+        assert _defs(instr) == ()
+        assert set(_uses(instr)) == {"fp", "r3"}
 
     def test_binop_defs_and_uses(self):
         instr = Instr(Opcode.BINOP, (Reg("r0"), Reg("r1"), Reg("r2")),
                       subop="add")
-        assert instr.reg_defs() == ("r0",)
-        assert set(instr.reg_uses()) == {"r1", "r2"}
+        assert _defs(instr) == ("r0",)
+        assert set(_uses(instr)) == {"r1", "r2"}
 
     def test_binop_dedupes_uses(self):
         instr = Instr(Opcode.BINOP, (Reg("r0"), Reg("r1"), Reg("r1")),
                       subop="add")
-        assert instr.reg_uses() == ("r1",)
+        assert _uses(instr) == ("r1",)
 
     def test_push_defs_sp(self):
         instr = Instr(Opcode.PUSH, (Reg("r4"),))
-        assert instr.reg_defs() == ("sp",)
-        assert set(instr.reg_uses()) == {"r4", "sp"}
+        assert _defs(instr) == ("sp",)
+        assert set(_uses(instr)) == {"r4", "sp"}
 
     def test_pop_defs_target_and_sp(self):
         instr = Instr(Opcode.POP, (Reg("r4"),))
-        assert set(instr.reg_defs()) == {"r4", "sp"}
-        assert instr.reg_uses() == ("sp",)
+        assert set(_defs(instr)) == {"r4", "sp"}
+        assert _uses(instr) == ("sp",)
 
     def test_branch_uses_condition(self):
         instr = Instr(Opcode.BR, (Reg("r2"), Imm(7)))
-        assert instr.reg_uses() == ("r2",)
-        assert instr.reg_defs() == ()
+        assert _uses(instr) == ("r2",)
+        assert _defs(instr) == ()
 
     def test_call_touches_sp(self):
         instr = Instr(Opcode.CALL, (Imm(3),))
-        assert instr.reg_defs() == ("sp",)
-        assert instr.reg_uses() == ("sp",)
+        assert _defs(instr) == ("sp",)
+        assert _uses(instr) == ("sp",)
 
 
 class TestClassification:

@@ -1,11 +1,15 @@
-"""A malformed region snapshot or checkpoint body is a typed error.
+"""A malformed region snapshot, checkpoint body, schedule or exclusion
+record is a typed error.
 
 The pinball container can be intact (v1 JSON parses, v2 frames pass
 their CRCs) while the machine state inside it is not: a snapshot of the
-wrong shape, or a checkpoint body missing a field.  Whatever touches
-that state — replay, ``resume_machine``, a debugger seek, ``repro
-replay`` — must raise :class:`PinballFormatError` naming the pinball's
-source and the checkpoint step, never a raw ``KeyError``/``TypeError``.
+wrong shape, a checkpoint body missing a field, a schedule run with a
+non-integer count, or a slice pinball's exclusion record missing a
+field or naming a register outside the ISA.  Whatever touches that
+state — replay, ``resume_machine``, a debugger seek, ``repro replay`` —
+must raise :class:`PinballFormatError` naming the pinball's source and
+the part (the checkpoint by step, the exclusion record by index), never
+a raw ``KeyError``/``TypeError`` or a divergence far from the cause.
 """
 
 import re
@@ -16,9 +20,11 @@ from repro.cli import main
 from repro.debugger import DrDebugSession
 from repro.lang import compile_source
 from repro.pinplay import (EmbeddedCheckpoint, Pinball, PinballFormatError,
-                           RegionSpec, record_region, replay,
+                           RegionSpec, record_region, relog, replay,
                            resume_machine)
 from repro.vm import RoundRobinScheduler
+
+from tests.serve.conftest import RACY_SOURCE, record_racy_pinball
 
 SOURCE = """
 int g;
@@ -131,3 +137,82 @@ def test_cli_replay_of_malformed_snapshot_exits_65(recorded, tmp_path,
     _rebuilt(pinball, path, "v1", snapshot={})
     assert main(["replay", str(source), str(path)]) == 65
     assert "malformed region snapshot" in capsys.readouterr().err
+
+
+# -- slice pinballs: exclusion records and the schedule ----------------------
+
+#: Shape -> (how the first exclusion record is broken, expected label).
+EXCLUSION_SHAPES = {
+    "empty-record": (lambda record: record.clear(), "exclusion record 0"),
+    "frame-fields": (lambda record: record.update(frames=[{}]),
+                     "exclusion record 0"),
+    "regs-int": (lambda record: record.update(regs=5),
+                 "exclusion record 0"),
+    "end-pc-str": (lambda record: record.update(end_pc="x"),
+                   "exclusion record 0"),
+    "unknown-register": (lambda record: record.update(regs=[["zz", 1]]),
+                         "exclusion record 0"),
+}
+
+
+@pytest.fixture(scope="module")
+def sliced():
+    """The racy demo's failing recording, relogged to a slice pinball
+    whose first exclusion record carries registers and frames."""
+    program, pinball = record_racy_pinball()
+    keep = {int(tid): {count - 1} for tid, count
+            in pinball.meta["thread_instr_counts"].items()}
+    slice_pb = relog(pinball, program, keep)
+    first = slice_pb.exclusions[0]
+    assert first["regs"] and first["frames"]
+    return program, slice_pb
+
+
+def _broken(slice_pb, path, fmt, shape):
+    """``slice_pb`` with ``shape`` applied, saved to ``path`` in ``fmt``
+    and reloaded."""
+    copy = Pinball.from_bytes(slice_pb.to_bytes(format="v1"))
+    if shape == "schedule":
+        copy.schedule = [[0, "a"]]
+    else:
+        EXCLUSION_SHAPES[shape][0](copy.exclusions[0])
+    copy.save(str(path), format=fmt)
+    return Pinball.load(str(path))
+
+
+def _label(shape):
+    return "schedule" if shape == "schedule" else EXCLUSION_SHAPES[shape][1]
+
+
+#: The v2 schedule is packed integers, so only v1 can carry a bad count.
+SLICE_CASES = ([(fmt, shape) for fmt in ("v1", "v2")
+                for shape in EXCLUSION_SHAPES] + [("v1", "schedule")])
+
+
+@pytest.mark.parametrize("fmt,shape", SLICE_CASES)
+def test_malformed_slice_pinball_replay(sliced, tmp_path, fmt, shape):
+    program, slice_pb = sliced
+    path = tmp_path / ("bad-%s.pinball" % shape)
+    bad = _broken(slice_pb, path, fmt, shape)
+    with pytest.raises(PinballFormatError,
+                       match=re.escape(str(path)) + ": malformed "
+                       + _label(shape)):
+        replay(bad, program, verify=False)
+
+
+@pytest.mark.parametrize("fmt,shape", SLICE_CASES)
+def test_cli_replay_of_malformed_slice_pinball_exits_65(
+        sliced, tmp_path, capsys, fmt, shape):
+    _program, slice_pb = sliced
+    source = tmp_path / "racy.mc"
+    source.write_text(RACY_SOURCE)
+    path = tmp_path / "bad.pinball"
+    _broken(slice_pb, path, fmt, shape)
+    assert main(["replay", str(source), str(path)]) == 65
+    assert "malformed " + _label(shape) in capsys.readouterr().err
+
+
+def test_intact_slice_pinball_still_replays(sliced):
+    program, slice_pb = sliced
+    machine, _result = replay(slice_pb, program, verify=False)
+    assert machine.skipped_exclusions == len(slice_pb.exclusions)

@@ -12,7 +12,7 @@ import base64
 
 import pytest
 
-from repro.pinplay import Pinball
+from repro.pinplay import Pinball, relog
 from repro.serve import DebugClient, rpc
 
 from tests.serve.conftest import RACY_SOURCE, running_server
@@ -195,6 +195,21 @@ class TestErrors:
                         {"program": "int main() { return 0; }",
                          "pinball": mangled})
         assert excinfo.value.code == rpc.BAD_PINBALL
+
+    def test_malformed_exclusion_record_is_bad_pinball(
+            self, client, racy_recording):
+        program, pinball = racy_recording
+        keep = {int(tid): {count - 1} for tid, count
+                in pinball.meta["thread_instr_counts"].items()}
+        slice_pb = relog(pinball, program, keep)
+        slice_pb.exclusions[0] = {}
+        key = client.put_recording(
+            RACY_SOURCE, slice_pb.to_bytes(compress=False),
+            program_name="racy")["key"]
+        with pytest.raises(rpc.RpcRemoteError) as excinfo:
+            client.replay(key)
+        assert excinfo.value.code == rpc.BAD_PINBALL
+        assert "exclusion record 0" in excinfo.value.remote_message
 
     def test_relogging_a_slice_pinball_is_invalid_params(
             self, server, client):
