@@ -12,8 +12,15 @@ one hoisted local-bool check per VM step (see
   runs).
 
 Both time the untraced-replay fast path on the
-``benchmarks/test_perf_engine.py`` blackscholes workload (best-of-N
-in-process, best-of-M subprocesses).  In full mode the candidate must be
+``benchmarks/test_perf_engine.py`` blackscholes workload.  A stub and a
+real subprocess stay resident side by side and replay in turn, the
+parent alternating which goes first, so each stub/real pair of replays
+runs within a few tens of milliseconds; the bar reads the median of the
+per-pair candidate/baseline ratios over several such subprocess pairs.
+The replay time of one process swings by a third within a second on a
+shared box, so the earlier best-of-N per subprocess, best-of-M
+subprocesses compared two different moments: with identical VM code on
+both sides it read 0.93-1.34x.  In full mode the candidate must be
 within 5% of the baseline; under ``REPRO_PERF_SMOKE=1`` (CI) the
 machinery runs at reduced size but the noise-sensitive ratio bar is
 skipped.
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -37,21 +45,22 @@ SMOKE = perf_smoke()
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__),
                                          os.pardir))
 
-#: Workload size / repetition knobs.
+#: Workload size; stub/real subprocess pairs, and replays per pair.
 if SMOKE:
-    UNITS, REPLAY_REPEATS, SUBPROCESS_RUNS = 40, 2, 1
+    UNITS, SUBPROCESS_PAIRS, ROUNDS = 40, 1, 2
 else:
-    UNITS, REPLAY_REPEATS, SUBPROCESS_RUNS = 200, 5, 3
+    UNITS, SUBPROCESS_PAIRS, ROUNDS = 200, 3, 15
 
 #: The allowed slowdown of "obs imported but disabled" over "no obs at
 #: all" on the untraced replay fast path.
 OVERHEAD_BAR = 1.05
 
-#: Runs in a subprocess.  argv: mode ("stub"|"real"), units, repeats.
+#: Runs in a subprocess.  argv: mode ("stub"|"real"), units.  Prints one
+#: JSON header line, then one replay time per "run" line on stdin.
 _WORKER = r"""
 import gc, json, sys, time
 
-mode, units, repeats = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+mode, units = sys.argv[1], int(sys.argv[2])
 
 if mode == "stub":
     # Install a do-nothing observability module *before* repro imports
@@ -103,54 +112,91 @@ else:
 program = get_parsec("blackscholes").build(units=units, nthreads=4)
 pinball = record_region(program, RandomScheduler(seed=7), RegionSpec())
 
-best = float("inf")
-gc.collect()
-gc.disable()
-for _ in range(repeats):
+
+def replay_once():
     machine = replay_machine(pinball, program)
     started = time.perf_counter()
     machine.run(max_steps=pinball.total_steps)
-    best = min(best, time.perf_counter() - started)
-print(json.dumps({"mode": mode, "steps": pinball.total_steps,
-                  "best_replay_sec": best}))
+    return time.perf_counter() - started
+
+
+gc.collect()
+gc.disable()
+replay_once()                     # warm-up, untimed
+print(json.dumps({"mode": mode, "steps": pinball.total_steps}), flush=True)
+for line in sys.stdin:
+    if line.strip() != "run":
+        break
+    print(repr(replay_once()), flush=True)
 """
 
 
-def _run_variant(mode: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    env.pop("REPRO_OBS", None)       # candidate must be *disabled*, not off
-    env.pop("REPRO_ENGINE", None)    # both variants on the default engine
-    completed = subprocess.run(
-        [sys.executable, "-c", _WORKER, mode, str(UNITS),
-         str(REPLAY_REPEATS)],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=600)
-    assert completed.returncode == 0, (
-        "%s variant failed:\n%s\n%s"
-        % (mode, completed.stdout, completed.stderr))
-    return json.loads(completed.stdout.strip().splitlines()[-1])
+class _Variant:
+    """One resident worker subprocess."""
+
+    def __init__(self, mode: str) -> None:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+        env.pop("REPRO_OBS", None)     # candidate must be *disabled*
+        env.pop("REPRO_ENGINE", None)  # both variants on the default engine
+        self.mode = mode
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", _WORKER, mode, str(UNITS)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=env, cwd=REPO_ROOT)
+        self.steps = json.loads(self._line())["steps"]
+
+    def _line(self) -> str:
+        line = self.proc.stdout.readline()
+        assert line, "%s variant exited (status %s)" % (
+            self.mode, self.proc.poll())
+        return line
+
+    def replay(self) -> float:
+        self.proc.stdin.write("run\n")
+        self.proc.stdin.flush()
+        return float(self._line())
+
+    def close(self) -> None:
+        try:
+            self.proc.stdin.close()
+            self.proc.wait(timeout=60)
+        finally:
+            if self.proc.poll() is None:
+                self.proc.kill()
 
 
 def test_disabled_obs_overhead_within_bar():
-    best = {}
-    for _ in range(SUBPROCESS_RUNS):
-        # Interleave the variants so machine-load drift hits both equally.
-        for mode in ("stub", "real"):
-            result = _run_variant(mode)
-            if (mode not in best
-                    or result["best_replay_sec"]
-                    < best[mode]["best_replay_sec"]):
-                best[mode] = result
+    stub_times, real_times = [], []
+    for _ in range(SUBPROCESS_PAIRS):
+        stub = real = None
+        try:
+            stub = _Variant("stub")
+            real = _Variant("real")
+            assert stub.steps == real.steps, (
+                "variants executed different work")
+            for index in range(ROUNDS):
+                if index % 2 == 0:
+                    stub_times.append(stub.replay())
+                    real_times.append(real.replay())
+                else:
+                    real_times.append(real.replay())
+                    stub_times.append(stub.replay())
+        finally:
+            for variant in (stub, real):
+                if variant is not None:
+                    variant.close()
 
-    assert best["stub"]["steps"] == best["real"]["steps"], (
-        "variants executed different work")
-    baseline = best["stub"]["best_replay_sec"]
-    candidate = best["real"]["best_replay_sec"]
-    ratio = candidate / baseline
-    print("\nobs-disabled overhead: baseline %.4fs  candidate %.4fs  "
-          "ratio %.3fx (bar %.2fx%s)"
-          % (baseline, candidate, ratio, OVERHEAD_BAR,
-             ", skipped: smoke" if SMOKE else ""))
+    ratios = [r / b for r, b in zip(real_times, stub_times)]
+    ratio = statistics.median(ratios)
+    best_over_best = min(real_times) / min(stub_times)
+    print("\nobs-disabled overhead: median of %d pair ratios %.3fx "
+          "(bar %.2fx%s; best-over-best %.3fx: baseline %.4fs, "
+          "candidate %.4fs)"
+          % (len(ratios), ratio, OVERHEAD_BAR,
+             ", skipped: smoke" if SMOKE else "", best_over_best,
+             min(stub_times), min(real_times)))
+    print("pair ratios: %s" % " ".join("%.3f" % r for r in ratios))
 
     if not SMOKE:
         assert ratio <= OVERHEAD_BAR, (

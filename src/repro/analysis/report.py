@@ -108,15 +108,14 @@ class SliceReport:
 
     @classmethod
     def from_slice(cls, dslice) -> "SliceReport":
-        nodes = dslice.nodes.values()
-        pcs = {node.addr for node in nodes}
-        lines = sorted({node.line for node in nodes
-                        if node.line is not None})
-        functions = sorted({node.func for node in nodes
-                            if node.func is not None})
+        statements = dslice.source_statements()
+        lines = sorted({line for _func, line in statements
+                        if line is not None})
+        functions = sorted({func for func, _line in statements
+                            if func is not None})
         return cls(criterion=tuple(dslice.criterion),
                    instance_count=len(dslice),
-                   pc_count=len(pcs),
+                   pc_count=len(dslice.pcs()),
                    lines=tuple(lines), functions=tuple(functions))
 
     @classmethod

@@ -529,8 +529,7 @@ class DrDebugSession:
         if self.machine is None:
             self.restart()
         machine = self._require_machine()
-        slice_addrs = {node.addr for node in
-                       self.current_slice.nodes.values()}
+        slice_addrs = self.current_slice.pcs()
         machine.breakpoints = slice_addrs
         while True:
             remaining = self.pinball.total_steps - self.steps_done

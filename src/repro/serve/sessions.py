@@ -294,15 +294,12 @@ def slice_payload(session: SlicingSession, dslice: DynamicSlice) -> dict:
 
     Sorted nodes/edges and explicit unresolved count: two independently
     computed equal slices render to identical JSON bytes, which is the
-    contract the differential suite checks served results against.
+    contract the differential suite checks served results against.  The
+    rows come straight from the slice's columns: no node or edge object
+    is built.
     """
-    nodes = sorted(
-        [node.tid, node.tindex, node.addr, node.line, node.func]
-        for node in dslice.nodes.values())
-    edges = sorted(
-        [list(consumer), list(producer), kind,
-         list(loc) if loc is not None else None]
-        for consumer, producer, kind, loc in dslice.edges)
+    nodes = sorted(dslice.node_rows())
+    edges = sorted(dslice.edge_rows())
     statements = sorted(
         ([func, line] for func, line in dslice.source_statements()),
         key=lambda fl: (fl[0] or "", fl[1] or 0))

@@ -367,7 +367,7 @@ class SlicingSession:
         self.last_slice_time = span.elapsed
         if OBS.enabled:
             OBS.add("slicing.queries", 1)
-            OBS.observe("slicing.slice_nodes", len(result.nodes))
+            OBS.observe("slicing.slice_nodes", len(result))
         return result
 
     def slice_for_global(self, global_name: str,
@@ -413,7 +413,7 @@ class SlicingSession:
                 "trace_time_sec": self.trace_time,
                 "preprocess_time_sec": self.preprocess_time,
                 "mem_order_edges": len(self.pinball.mem_order),
-                "threads": len(self._frozen._columns),
+                "threads": len(self._frozen.columns.positions),
             }
             out.update(self.slicer.index_stats())
             return out

@@ -19,10 +19,17 @@ traversal touching only the slice itself:
   global position: ``indptr[g] .. indptr[g+1]`` delimits node ``g``'s
   predecessor rows in ``preds`` (producer gpos), with parallel edge-kind
   bytes and location-id columns (locations interned into one table).
+  The same pass emits the per-gpos tid, tindex and pc columns and a
+  per-pc ``(func, line)`` table; together with the CSR columns they form
+  the :class:`~repro.slicing.slice.SliceColumns` every slice of this
+  index reads.
 * **Query** — a backward slice is the reachable set from the criterion's
   gpos, found by an int BFS over the CSR columns; the slice's edges are
-  then exactly the CSR rows of its members.  Two memo layers exploit the
-  cyclic-debugging access pattern (queries cluster near the failure):
+  then exactly the CSR rows of its members.  The answer is that set as a
+  sorted gpos array over the shared columns: no per-member node or edge
+  object is built until a consumer reads ``nodes`` or ``edges``.  Two
+  memo layers exploit the cyclic-debugging access pattern (queries
+  cluster near the failure):
 
   - a *closure memo*: complete reachable-set fragments from previously
     visited start nodes are reused wholesale by later traversals;
@@ -45,7 +52,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.registry import OBS
 from repro.slicing.global_trace import GlobalTrace
 from repro.slicing.options import SliceOptions
-from repro.slicing.slice import DynamicSlice, SliceNode
+from repro.slicing.slice import (DynamicSlice, SliceColumns,
+                                 thread_positions)
 from repro.slicing.trace import Instance, Location
 
 #: Edge-kind bytes in the CSR kind column.
@@ -76,11 +84,6 @@ class DependenceIndex:
         self.bypassed_edges = 0
         self._slice_cache: "OrderedDict[tuple, DynamicSlice]" = OrderedDict()
         self._closure_memo: "OrderedDict[int, frozenset]" = OrderedDict()
-        #: gpos -> (instance, SliceNode, edge rows, unresolved locations):
-        #: everything a query needs per member, rendered once and shared —
-        #: all of it is fully determined by the CSR row, and queries in a
-        #: cyclic-debugging session revisit the same neighborhood.
-        self._detail_cache: Dict[int, tuple] = {}
         # Span in place of the old ad-hoc perf_counter pair: it measures
         # regardless of enablement, so ``build_time`` stays populated.
         with OBS.span("slicing.ddg_build") as span:
@@ -123,18 +126,13 @@ class DependenceIndex:
         store = self.gtrace.store
         total = len(order)
         columnar = getattr(order, "instance_at", None) is not None
-        self._columnar = columnar
         if columnar:
             tids = order._tids
             tindexes = order._tindexes
             columns = store._columns
-            self._columns = columns
         else:
             tids = [record.tid for record in order]
             tindexes = [record.tindex for record in order]
-            self._columns = None
-        self._tids = tids
-        self._tindexes = tindexes
 
         prune = self.options.prune_save_restore and bool(self.restores)
         self._prune = prune
@@ -208,6 +206,15 @@ class DependenceIndex:
         preds = array("q")
         kinds = bytearray()
         elocs = array("q")
+        #: Per-gpos pc and written-value columns, pc -> (func, line), and
+        #: the gpos of every memory-reading instruction.
+        pcs = array("q")
+        pcs_append = pcs.append
+        values: list = []
+        values_append = values.append
+        statements: Dict[int, tuple] = {}
+        reads = array("q")
+        reads_append = reads.append
         #: gpos -> tuple of locids whose reaching definition was not found
         #: inside the trace (initial-state reads); sparse.
         unresolved: Dict[int, tuple] = {}
@@ -229,20 +236,26 @@ class DependenceIndex:
                         plan_map = plans_by_tid[tid] = {}
                     last_tid = tid
                 static = statics_col[tindex]
-                mdefs, muses, cd, _values = dyns_col[tindex]
+                mdefs, muses, cd, value = dyns_col[tindex]
                 sid = id(static)
                 plan = plan_map.get(sid)
                 if plan is None:
                     plan = plan_map[sid] = reg_plan(
                         tid, static[4], static[3])
+                    statements[static[0]] = (static[2], static[1])
+                pcs_append(static[0])
             else:
                 record = order[g]
                 mdefs, muses, cd = record.mdefs, record.muses, record.cd
+                value = record.values
                 plan_key = (tid, record.ruses, record.rdefs)
                 plan = row_plans.get(plan_key)
                 if plan is None:
                     plan = row_plans[plan_key] = reg_plan(
                         tid, record.ruses, record.rdefs)
+                statements[record.addr] = (record.func, record.line)
+                pcs_append(record.addr)
+            values_append(value)
             use_pairs, def_dps = plan
 
             missing = None
@@ -265,26 +278,28 @@ class DependenceIndex:
                 preds.append(producer)
                 kinds.append(EDGE_DATA)
                 elocs.append(locid)
-            for addr in muses:             # memory uses (no bypass)
-                entry = mem_entries.get(addr)
-                if entry is None:
-                    loc = ("m", addr)
-                    locid = loc_ids[loc] = len(locs)
-                    locs.append(loc)
-                    dp = []
-                    def_positions.append(dp)
-                    mem_entries[addr] = (locid, dp)
-                else:
-                    locid, dp = entry
-                if not dp:
-                    if missing is None:
-                        missing = [locid]
+            if muses:
+                reads_append(g)
+                for addr in muses:         # memory uses (no bypass)
+                    entry = mem_entries.get(addr)
+                    if entry is None:
+                        loc = ("m", addr)
+                        locid = loc_ids[loc] = len(locs)
+                        locs.append(loc)
+                        dp = []
+                        def_positions.append(dp)
+                        mem_entries[addr] = (locid, dp)
                     else:
-                        missing.append(locid)
-                    continue
-                preds.append(dp[-1])
-                kinds.append(EDGE_DATA)
-                elocs.append(locid)
+                        locid, dp = entry
+                    if not dp:
+                        if missing is None:
+                            missing = [locid]
+                        else:
+                            missing.append(locid)
+                        continue
+                    preds.append(dp[-1])
+                    kinds.append(EDGE_DATA)
+                    elocs.append(locid)
             if cd is not None:
                 if columnar:
                     cd_gpos = columns[cd[0]].gpos[cd[1]]
@@ -318,6 +333,20 @@ class DependenceIndex:
         self._kinds = kinds
         self._elocs = elocs
         self._unresolved = unresolved
+        self._tids = array("q", tids)
+        self._tindexes = array("q", tindexes)
+        #: Per-gpos written-value maps: each query hands its members'
+        #: maps to the slice, which must not keep the trace store.
+        self._values = values
+        self._reads = reads
+        if columnar:
+            positions = {tid: array("q", cols.gpos)
+                         for tid, cols in columns.items()}
+        else:
+            positions = thread_positions(self._tids)
+        self.columns = SliceColumns(self._tids, self._tindexes, pcs,
+                                    positions, statements, indptr, preds,
+                                    elocs, locs + [None])
 
     def _chase(self, locid: int, dp: List[int], producer: int,
                hi_index: int) -> int:
@@ -368,101 +397,51 @@ class DependenceIndex:
                 return cached
         self.cache_misses += 1
 
-        crit_gpos = self.gtrace.gpos_of(criterion)
+        columns = self.columns
+        crit_gpos = columns.gpos_of(criterion)
         hits_before = self.memo_hits
         misses_before = self.memo_misses
-        members = set(self._closure(crit_gpos))
+        members = self._closure(crit_gpos)
 
         # Location queries: track the given locations as of (and
         # including) the criterion instruction — resolve each to its
         # reaching definition at crit_gpos + 1 and pull in its closure.
-        extra_edges: List[Tuple[int, Location]] = []
+        extra_edges: List[Tuple[int, int, Location]] = []
         unresolved_locs = set()
         if locations is not None:
+            members = set(members)
             for loc in locations:
                 loc = tuple(loc)
                 producer = self._resolve(loc, crit_gpos + 1)
                 if producer < 0:
                     unresolved_locs.add(loc)
                 else:
-                    extra_edges.append((producer, loc))
+                    extra_edges.append((crit_gpos, producer, loc))
                     if producer not in members:
                         members |= self._closure(producer)
+        order = array("q", sorted(members))
 
-        tids = self._tids
-        tindexes = self._tindexes
-        indptr = self._indptr
-        preds = self._preds
-        kinds = self._kinds
-        elocs = self._elocs
-        locs = self._locs
         unresolved = self._unresolved
-
-        nodes: Dict[Instance, SliceNode] = {}
-        edges: List[Tuple[Instance, Instance, str, Optional[tuple]]] = []
-        details = self._detail_cache
-        columnar = self._columnar
-        store_get = None if columnar else self.gtrace.store.get
-        last_tid = None
-        statics_col = dyns_col = None
-        for g in sorted(members):
-            detail = details.get(g)
-            if detail is None:
-                tid = tids[g]
-                tindex = tindexes[g]
-                inst = (tid, tindex)
-                if columnar:
-                    # Members arrive gpos-sorted, i.e. clustered into
-                    # per-thread runs — refresh the column locals only on
-                    # run boundaries.
-                    if tid != last_tid:
-                        cols = self._columns[tid]
-                        statics_col = cols.statics
-                        dyns_col = cols.dyns
-                        last_tid = tid
-                    addr, line, func, _rdefs, _ruses = statics_col[tindex]
-                    node = SliceNode(tid, tindex, addr, line, func,
-                                     dyns_col[tindex][3])
-                else:
-                    record = store_get(inst)
-                    node = SliceNode(tid, tindex, record.addr, record.line,
-                                     record.func, record.values)
-                rows = []
-                for e in range(indptr[g], indptr[g + 1]):
-                    p = preds[e]
-                    pinst = (tids[p], tindexes[p])
-                    if kinds[e] == EDGE_CONTROL:
-                        rows.append((inst, pinst, "control", None))
-                    else:
-                        rows.append((inst, pinst, "data", locs[elocs[e]]))
-                miss = unresolved.get(g)
-                mlocs = (tuple(locs[locid] for locid in miss)
-                         if miss else None)
-                detail = details[g] = (inst, node, rows, mlocs)
-            inst, node, rows, mlocs = detail
-            nodes[inst] = node
-            if rows:
-                edges.extend(rows)
-            if mlocs:
-                unresolved_locs.update(mlocs)
-        crit_inst = (tids[crit_gpos], tindexes[crit_gpos])
-        for producer, loc in extra_edges:
-            edges.append((crit_inst, (tids[producer], tindexes[producer]),
-                          "data", loc))
-
-        stats = {
-            "engine": "ddg",
-            "nodes": len(nodes),
-            "edges": len(edges),
-            "unresolved_locations": len(unresolved_locs),
-            "closure_memo_hits": self.memo_hits - hits_before,
-        }
+        if unresolved:
+            locs = self._locs
+            if len(unresolved) < len(members):
+                missing = [ids for g, ids in unresolved.items()
+                           if g in members]
+            else:
+                missing = [unresolved[g] for g in order if g in unresolved]
+            for ids in missing:
+                for locid in ids:
+                    unresolved_locs.add(locs[locid])
+        memo_hits = self.memo_hits - hits_before
+        result = DynamicSlice.from_columns(
+            (self._tids[crit_gpos], self._tindexes[crit_gpos]), order,
+            columns, "ddg", len(unresolved_locs), memo_hits,
+            values=self._member_values(order), extra_edges=extra_edges)
         if OBS.enabled:
             OBS.add("slicing.bfs_visited_nodes", len(members))
-            OBS.add("slicing.memo_hits", self.memo_hits - hits_before)
+            OBS.add("slicing.memo_hits", memo_hits)
             OBS.add("slicing.memo_misses", self.memo_misses - misses_before)
-            OBS.add("slicing.edges_walked", len(edges))
-        result = DynamicSlice(crit_inst, nodes, edges, stats)
+            OBS.add("slicing.edges_walked", result.stats["edges"])
         if cache_size:
             self._slice_cache[key] = result
             if len(self._slice_cache) > cache_size:
@@ -470,6 +449,11 @@ class DependenceIndex:
         return result
 
     # -- internals -----------------------------------------------------------
+
+    def _member_values(self, order: array) -> list:
+        """The written-value maps of the members at ``order``."""
+        values = self._values
+        return [values[g] for g in order]
 
     def _closure(self, start: int) -> frozenset:
         """Reachable gpos set from ``start`` over the CSR columns, reusing

@@ -10,12 +10,13 @@ no build.
 
 The design follows from what the query path actually touches:
 
-* :meth:`DependenceIndex.slice` reads only the flat CSR columns
-  (``_indptr``/``_preds``/``_kinds``/``_elocs``), the interned location
-  table, the sparse ``_unresolved`` map, the per-gpos ``(tid, tindex)``
-  arrays and — for node rendering — per-instance ``(addr, line, func,
-  values)`` detail.  All of that serializes almost for free: the big
-  columns are ``array('q')``/``bytearray`` already.
+* :meth:`DependenceIndex.slice` reads only the index's
+  :class:`~repro.slicing.slice.SliceColumns` (the flat CSR columns, the
+  interned location table, per-gpos tid/tindex/pc arrays, a per-pc
+  ``(func, line)`` table), the sparse ``_unresolved`` map and — for
+  node rendering — the per-gpos written-value maps.  All of that
+  serializes almost for free: the big columns are
+  ``array('q')``/``bytearray`` already.
 * The criterion helpers (``last_reads``, last-write-to-address,
   last-instance-at-line) need one ascending read-position column plus
   the per-location definition-position lists, which the index also
@@ -54,7 +55,6 @@ import json
 import struct
 import zlib
 from array import array
-from bisect import bisect_left
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -62,6 +62,7 @@ from repro.obs.registry import OBS
 from repro.pinplay.pinball import PinballFormatError
 from repro.slicing.ddg import DependenceIndex
 from repro.slicing.options import SliceOptions
+from repro.slicing.slice import SliceColumns, thread_positions
 from repro.slicing.trace import Instance
 
 MAGIC = b"RIX1"
@@ -96,59 +97,35 @@ def _corrupt(source: str, what: str) -> PinballFormatError:
     return PinballFormatError("%s: corrupt index blob (%s)" % (source, what))
 
 
-def _q_array(values) -> array:
-    return values if isinstance(values, array) else array("q", values)
-
-
 # -- serialization ------------------------------------------------------------
 
 def serialize_index(index: DependenceIndex, fingerprint: str) -> bytes:
     """Flatten a built index into one self-describing ``RIX1`` blob."""
     total = index.node_count
-    tids = _q_array(index._tids)
-    tindexes = _q_array(index._tindexes)
+    columns = index.columns
+    addrs = columns.pcs
 
-    # Per-gpos node detail (what SliceNode rendering needs): flat int
-    # columns plus an interned function-name table; ``values`` dicts keep
-    # their int-vs-str keys through explicit pair lists.
-    addrs = array("q", bytes(8 * total))
-    lines = array("q", bytes(8 * total))
-    funcs = array("q", bytes(8 * total))
+    # Per-gpos node detail: the index's per-gpos pc column, with line and
+    # function spread from its per-pc table (functions interned in order
+    # of first appearance); ``values`` maps keep their int-vs-str keys
+    # through explicit pair lists.
+    line_of: Dict[int, int] = {}
+    fid_of: Dict[int, int] = {}
     func_ids: Dict[Optional[str], int] = {}
     func_table: List[Optional[str]] = []
-    values_col: List[Optional[list]] = [None] * total
-    reads = array("q")
-
-    columnar = index._columnar
-    store = None if columnar else index.gtrace.store
-    last_tid = None
-    statics_col = dyns_col = None
-    for g in range(total):
-        tid = tids[g]
-        tindex = tindexes[g]
-        if columnar:
-            if tid != last_tid:
-                cols = index._columns[tid]
-                statics_col = cols.statics
-                dyns_col = cols.dyns
-                last_tid = tid
-            addr, line, func, _rdefs, _ruses = statics_col[tindex]
-            _mdefs, muses, _cd, values = dyns_col[tindex]
-        else:
-            record = store.get((tid, tindex))
-            addr, line, func = record.addr, record.line, record.func
-            muses, values = record.muses, record.values
-        addrs[g] = addr
-        lines[g] = -1 if line is None else line
+    for pc in dict.fromkeys(addrs):
+        func, line = columns.statements[pc]
+        line_of[pc] = -1 if line is None else line
         fid = func_ids.get(func)
         if fid is None:
             fid = func_ids[func] = len(func_table)
             func_table.append(func)
-        funcs[g] = fid
-        if values is not None:
-            values_col[g] = [[k, v] for k, v in values.items()]
-        if muses:
-            reads.append(g)
+        fid_of[pc] = fid
+    lines = array("q", map(line_of.__getitem__, addrs))
+    funcs = array("q", map(fid_of.__getitem__, addrs))
+    values_col = [None if values is None
+                  else [[k, v] for k, v in values.items()]
+                  for values in index._values]
 
     dp_indptr = array("q", [0])
     dp_flat = array("q")
@@ -168,16 +145,16 @@ def serialize_index(index: DependenceIndex, fingerprint: str) -> bytes:
     }
 
     sections = [
-        ("indptr", _q_array(index._indptr).tobytes()),
-        ("preds", _q_array(index._preds).tobytes()),
+        ("indptr", index._indptr.tobytes()),
+        ("preds", index._preds.tobytes()),
         ("kinds", bytes(index._kinds)),
-        ("elocs", _q_array(index._elocs).tobytes()),
-        ("tids", tids.tobytes()),
-        ("tindexes", tindexes.tobytes()),
+        ("elocs", index._elocs.tobytes()),
+        ("tids", columns.tids.tobytes()),
+        ("tindexes", columns.tindexes.tobytes()),
         ("addrs", addrs.tobytes()),
         ("lines", lines.tobytes()),
         ("funcs", funcs.tobytes()),
-        ("reads", reads.tobytes()),
+        ("reads", index._reads.tobytes()),
         ("dp_indptr", dp_indptr.tobytes()),
         ("dp_flat", dp_flat.tobytes()),
         ("tables", json.dumps(tables, separators=(",", ":"))
@@ -299,52 +276,31 @@ def deserialize_index(data: bytes, options: Optional[SliceOptions] = None,
 
 # -- the frozen index ---------------------------------------------------------
 
-class _FrozenColumns:
-    """Per-thread statics/dyns shims feeding the base query path.
+class _ValuesSection:
+    """The blob's per-gpos written-value column, still as JSON.
 
-    :meth:`DependenceIndex.slice` renders nodes from
-    ``_columns[tid].statics[tindex]`` / ``.dyns[tindex]``; these lists
-    reproduce exactly the fields it reads (addr, line, func, values) —
-    def/use sets are not needed after the build, so they are empty.
+    Only node rendering reads written values, and the served path renders
+    slices without nodes, so each slice that builds its nodes parses the
+    section itself; it holds the raw bytes and nothing mutable, so a kept
+    slice may hold it too.
     """
 
-    __slots__ = ("statics", "dyns")
+    __slots__ = ("raw", "count", "source")
 
-    def __init__(self) -> None:
-        self.statics: List[tuple] = []
-        self.dyns: List[tuple] = []
+    def __init__(self, raw: bytes, count: int, source: str) -> None:
+        self.raw = raw
+        self.count = count
+        self.source = source
 
-
-class _FrozenTrace:
-    """The one :class:`GlobalTrace` capability queries use: ``gpos_of``.
-
-    The per-tid map is built lazily on the first lookup: a warm node's
-    session *open* stays O(sections loaded), and the one O(nodes) pass
-    is paid by the first query instead (and only once).
-    """
-
-    __slots__ = ("_tids", "_tindexes", "_by_tid")
-
-    def __init__(self, tids: array, tindexes: array) -> None:
-        self._tids = tids
-        self._tindexes = tindexes
-        self._by_tid: Optional[Dict[int, Dict[int, int]]] = None
-
-    def gpos_of(self, instance: Instance) -> int:
-        by_tid = self._by_tid
-        if by_tid is None:
-            by_tid = {}
-            tids = self._tids
-            tindexes = self._tindexes
-            for g in range(len(tids)):
-                by_tid.setdefault(tids[g], {})[tindexes[g]] = g
-            self._by_tid = by_tid
-        tid, tindex = instance
+    def gather(self, members) -> list:
         try:
-            return by_tid[tid][tindex]
-        except KeyError:
-            raise KeyError("instance %r is not in the merged trace"
-                           % (instance,))
+            column = json.loads(self.raw.decode("utf-8"))
+            if len(column) != self.count:
+                raise ValueError("values column length mismatch")
+            return [None if pairs is None else dict(pairs)
+                    for pairs in map(column.__getitem__, members)]
+        except (ValueError, TypeError, UnicodeDecodeError) as exc:
+            raise _corrupt(self.source, "values section (%s)" % exc)
 
 
 class FrozenIndex(DependenceIndex):
@@ -378,7 +334,6 @@ class FrozenIndex(DependenceIndex):
         self.bypassed_edges = 0
         self._slice_cache = OrderedDict()
         self._closure_memo = OrderedDict()
-        self._detail_cache: Dict[int, tuple] = {}
         self.build_time = build_time
 
         self._indptr = indptr
@@ -396,50 +351,42 @@ class FrozenIndex(DependenceIndex):
         self._prune = prune
         self._bypass_memo: Dict[Tuple[int, int], int] = {}
 
-        # Node detail stays in the flat columns; the per-thread
-        # statics/dyns shims the query path reads are materialized
-        # lazily on first access (see the ``_columns`` property), so a
-        # warm open costs O(sections), not O(nodes).
-        self._columnar = True
+        # The slice columns' per-thread positions and per-pc statement
+        # table are built on the first query (see ``columns``), so a warm
+        # open costs O(sections), not O(nodes); the values section is
+        # parsed only by a slice that builds its nodes.
         self._addrs_col = addrs
         self._funcs_col = funcs
         self._func_table = func_table
-        self._values_json = values_json
-        self._columns_built: Optional[Dict[int, _FrozenColumns]] = None
-        self.gtrace = _FrozenTrace(tids, tindexes)
+        self._values_section = _ValuesSection(values_json, len(tids),
+                                              source)
+        self._columns_built: Optional[SliceColumns] = None
 
         self._reads = reads
         self._lines_col = lines
         self._line_index: Optional[tuple] = None
 
     @property
-    def _columns(self) -> Dict[int, _FrozenColumns]:
+    def columns(self) -> SliceColumns:
         built = self._columns_built
         if built is None:
-            built = {}
-            tids = self._tids
             addrs = self._addrs_col
-            lines = self._lines_col
-            funcs = self._funcs_col
             table = self._func_table
             try:
-                values = json.loads(self._values_json.decode("utf-8"))
-                if len(values) != len(tids):
-                    raise ValueError("values column length mismatch")
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise _corrupt(self.source, "values section (%s)" % exc)
-            for g in range(len(tids)):
-                cols = built.get(tids[g])
-                if cols is None:
-                    cols = built[tids[g]] = _FrozenColumns()
-                line = lines[g]
-                vals = values[g]
-                cols.statics.append((addrs[g], None if line < 0 else line,
-                                     table[funcs[g]], (), ()))
-                cols.dyns.append(
-                    ((), (), None, None if vals is None else dict(vals)))
-            self._columns_built = built
+                per_pc = dict(zip(addrs, zip(self._funcs_col,
+                                             self._lines_col)))
+                statements = {pc: (table[fid], None if line < 0 else line)
+                              for pc, (fid, line) in per_pc.items()}
+            except IndexError as exc:
+                raise _corrupt(self.source, "funcs section (%s)" % exc)
+            built = self._columns_built = SliceColumns(
+                self._tids, self._tindexes, addrs,
+                thread_positions(self._tids), statements, self._indptr,
+                self._preds, self._elocs, self._locs + [None])
         return built
+
+    def _member_values(self, order: array) -> "_ValuesSection":
+        return self._values_section
 
     # -- criterion helpers (what a warm serve session asks) ----------------
 

@@ -62,7 +62,7 @@ from repro.pinplay.replayer import resume_machine
 from repro.slicing.global_trace import GlobalTraceError
 from repro.slicing.options import SliceOptions
 from repro.slicing.save_restore import SaveRestoreDetector
-from repro.slicing.slice import DynamicSlice, SliceNode
+from repro.slicing.slice import DynamicSlice, SliceColumns
 from repro.slicing.trace import Instance, Location
 from repro.slicing.tracer import prime_jump_tables
 from repro.vm.machine import Machine
@@ -309,13 +309,12 @@ class ReexecIndex:
         self.bypassed_edges = 0
         self._slice_cache: "OrderedDict[tuple, DynamicSlice]" = OrderedDict()
         self._closure_memo: "OrderedDict[int, array]" = OrderedDict()
-        #: gpos -> (inst, SliceNode, edge locs, unresolved locs, pred
-        #: gposes): the partial DDG itself.
+        #: gpos -> (edge locations, producer gposes): the partial DDG
+        #: itself.  A None location marks the control edge.
         self._details: Dict[int, tuple] = {}
-        #: gpos -> expanded ddg-shaped edge rows, built on a node's first
-        #: appearance in a materialized slice and shared by every cached
-        #: slice that contains the node afterwards.
-        self._expanded: Dict[int, list] = {}
+        #: gpos -> locations whose reaching definition precedes the
+        #: region (sparse, like the ddg engine's ``_unresolved``).
+        self._missing: Dict[int, tuple] = {}
         #: Dependence-location tuples interned by value: thousands of
         #: nodes use the same ("r", tid, name) / ("m", addr) keys.
         self._loc_intern: Dict[tuple, tuple] = {}
@@ -457,6 +456,10 @@ class ReexecIndex:
             return
         self._merge()
         self._offline_pass()
+        self.columns = SliceColumns(
+            self._order_tids, self._order_tindexes, self._order_pcs,
+            self._gpos, [(instr.func, instr.line)
+                         for instr in self.program.instructions])
         prune = (self.options.prune_save_restore
                  and bool(self.save_restore.verified))
         self._prune = prune
@@ -493,6 +496,7 @@ class ReexecIndex:
         # engine could materialize either.
         order_tids = array("h")
         order_tindexes = array("i")
+        order_pcs = array(self._sink._pc_typecode)
         gpos = {tid: array("i", bytes(4 * lengths[tid])) for tid in tids}
         current = 0
         stalled = 0
@@ -501,6 +505,7 @@ class ReexecIndex:
             emitted_here = 0
             length = lengths[tid]
             col = gpos[tid]
+            pc_col = pcs[tid]
             while cursor[tid] < length:
                 position = cursor[tid]
                 if incoming:
@@ -512,6 +517,7 @@ class ReexecIndex:
                 col[position] = len(order_tids)
                 order_tids.append(tid)
                 order_tindexes.append(position)
+                order_pcs.append(pc_col[position])
                 cursor[tid] = position + 1
                 emitted_here += 1
             if emitted_here:
@@ -525,6 +531,7 @@ class ReexecIndex:
             current = (current + 1) % len(tids)
         self._order_tids = order_tids
         self._order_tindexes = order_tindexes
+        self._order_pcs = order_pcs
         self._gpos = gpos
 
     def _offline_pass(self) -> None:
@@ -780,17 +787,12 @@ class ReexecIndex:
             return detail
         tid = self._order_tids[g]
         tindex = self._order_tindexes[g]
-        inst = (tid, tindex)
         pc = self._pcs[tid][tindex]
-        line, func, _rdefs, ruses, _klass = self._plans[pc]
-        node = SliceNode(tid, tindex, pc, line, func, None)
+        _line, _func, _rdefs, ruses, _klass = self._plans[pc]
         gpos = self._gpos
         # Edges are stored columnar — predecessor gpos plus the dependence
-        # location (None marks the control edge) — and expanded into the
-        # ddg-shaped row tuples only for nodes that land in a materialized
-        # slice (see _slice).  Storing the expanded rows per node tripled
-        # the partial DDG's footprint for nothing: the pred gpos already
-        # names the producer instance.
+        # location (None marks the control edge); slices read them in
+        # place, and build edge tuples only when a consumer asks.
         locs: List[Optional[tuple]] = []
         preds: List[int] = []
         missing: List[tuple] = []
@@ -807,7 +809,7 @@ class ReexecIndex:
         if self._memop[pc]:
             window = self._window_of(tid, tindex)
             self._ensure_scanned(window, window + 1)
-            muses = self._windows[window].rows.get(inst, _NO_PAIRS)
+            muses = self._windows[window].rows.get((tid, tindex), _NO_PAIRS)
             for addr in muses:
                 p = self._resolve_mem_use(addr, g, window)
                 loc = ("m", addr)
@@ -821,9 +823,9 @@ class ReexecIndex:
         if cd_t >= 0:
             locs.append(None)
             preds.append(gpos[tid][cd_t])
-        mlocs = tuple(missing) if missing else None
-        detail = self._details[g] = (inst, node, tuple(locs), mlocs,
-                                     array("i", preds))
+        if missing:
+            self._missing[g] = tuple(missing)
+        detail = self._details[g] = (tuple(locs), array("i", preds))
         self.node_count += 1
         self.edge_count += len(preds)
         if OBS.enabled:
@@ -859,7 +861,7 @@ class ReexecIndex:
                     visited.update(fragment)
                     continue
             add(g)
-            extend(node_detail(g)[4])
+            extend(node_detail(g)[1])
         result = frozenset(visited)
         size = self.options.closure_memo_size
         if size:
@@ -877,11 +879,7 @@ class ReexecIndex:
         """Global position; same error contract as the columnar store
         (KeyError for unknown tids, IndexError for bad tindexes)."""
         self.prepare()
-        arr = self._gpos[instance[0]]
-        tindex = instance[1]
-        if not 0 <= tindex < len(arr):
-            raise IndexError(tindex)
-        return arr[tindex]
+        return self.columns.gpos_of(instance)
 
     def slice(self, criterion: Instance,
               locations: Optional[Sequence[Location]] = None)\
@@ -906,64 +904,44 @@ class ReexecIndex:
         crit_gpos = self.gpos_of(criterion)
         hits_before = self.memo_hits
         misses_before = self.memo_misses
-        members = set(self._closure(crit_gpos))
+        members = self._closure(crit_gpos)
 
-        extra_edges: List[Tuple[int, Location]] = []
+        extra_edges: List[Tuple[int, int, Location]] = []
         unresolved_locs = set()
         if locations is not None:
+            members = set(members)
             for loc in locations:
                 loc = tuple(loc)
                 producer = self._resolve(loc, crit_gpos + 1)
                 if producer < 0:
                     unresolved_locs.add(loc)
                 else:
-                    extra_edges.append((producer, loc))
+                    extra_edges.append((crit_gpos, producer, loc))
                     if producer not in members:
                         members |= self._closure(producer)
+        order = array("q", sorted(members))
 
-        nodes: Dict[Instance, SliceNode] = {}
-        edges: List[tuple] = []
-        node_detail = self._node_detail
-        expanded = self._expanded
-        order_tids = self._order_tids
-        order_tindexes = self._order_tindexes
-        for g in sorted(members):
-            inst, node, locs, mlocs, preds = node_detail(g)
-            nodes[inst] = node
-            rows = expanded.get(g)
-            if rows is None:
-                # Predecessors are members too (a closure is closed), so
-                # their detail insts already exist — reuse them instead
-                # of allocating a fresh tuple per edge, and release this
-                # node's loc column now that the rows carry the locs.
-                rows = expanded[g] = [
-                    (inst, node_detail(p)[0],
-                     "data" if loc is not None else "control", loc)
-                    for loc, p in zip(locs, preds)]
-                self._details[g] = (inst, node, None, mlocs, preds)
-            edges.extend(rows)
-            if mlocs:
-                unresolved_locs.update(mlocs)
-        crit_inst = (order_tids[crit_gpos], order_tindexes[crit_gpos])
-        for producer, loc in extra_edges:
-            edges.append((crit_inst,
-                          (order_tids[producer], order_tindexes[producer]),
-                          "data", loc))
-
-        stats = {
-            "engine": "reexec",
-            "nodes": len(nodes),
-            "edges": len(edges),
-            "unresolved_locations": len(unresolved_locs),
-            "closure_memo_hits": self.memo_hits - hits_before,
-        }
+        # The partial DDG keeps growing, so the slice takes its members'
+        # rows now (each row is immutable once made).
+        rows = list(map(self._details.__getitem__, order))
+        missing = self._missing
+        if len(missing) < len(members):
+            found = [mlocs for g, mlocs in missing.items() if g in members]
+        else:
+            found = [missing[g] for g in order if g in missing]
+        for mlocs in found:
+            unresolved_locs.update(mlocs)
+        memo_hits = self.memo_hits - hits_before
+        result = DynamicSlice.from_columns(
+            (self._order_tids[crit_gpos], self._order_tindexes[crit_gpos]),
+            order, self.columns, "reexec", len(unresolved_locs), memo_hits,
+            rows=rows, extra_edges=extra_edges)
         if OBS.enabled:
             OBS.add("slicing.bfs_visited_nodes", len(members))
-            OBS.add("slicing.memo_hits", self.memo_hits - hits_before)
+            OBS.add("slicing.memo_hits", memo_hits)
             OBS.add("slicing.memo_misses",
                     self.memo_misses - misses_before)
-            OBS.add("slicing.edges_walked", len(edges))
-        result = DynamicSlice(crit_inst, nodes, edges, stats)
+            OBS.add("slicing.edges_walked", result.stats["edges"])
         if cache_size:
             self._slice_cache[key] = result
             if len(self._slice_cache) > cache_size:

@@ -29,6 +29,20 @@ Instance = Tuple[int, int]          # (tid, tindex)
 Location = tuple                     # ("r", tid, name) | ("m", addr)
 
 
+def instance_error(instance: Instance,
+                   length: Optional[int] = None) -> LookupError:
+    """The error every slice index raises for a criterion outside the
+    region: :class:`KeyError` when the thread never ran in it (``length``
+    None), :class:`IndexError` when the instruction index falls outside
+    the thread's ``length`` retired instructions."""
+    if length is None:
+        return KeyError("instance %r is not in the region: thread %r "
+                        "never ran there" % (instance, instance[0]))
+    return IndexError("instance %r is not in the region: thread %r "
+                      "retired %d instructions" % (instance, instance[0],
+                                                   length))
+
+
 class TraceRecord:
     """One executed instruction instance in a thread's local trace."""
 
@@ -95,7 +109,12 @@ class TraceStore:
 
     def get(self, instance: Instance) -> TraceRecord:
         tid, tindex = instance
-        return self.by_thread[tid][tindex]
+        records = self.by_thread.get(tid)
+        if records is None:
+            raise instance_error(instance)
+        if not 0 <= tindex < len(records):
+            raise instance_error(instance, len(records))
+        return records[tindex]
 
     def thread_length(self, tid: int) -> int:
         return len(self.by_thread.get(tid, ()))
@@ -246,10 +265,12 @@ class ColumnarTraceStore:
 
     def gpos_of(self, tid: int, tindex: int) -> int:
         """Global position of one row without materializing its record."""
-        cols = self._columns[tid]
+        cols = self._columns.get(tid)
+        if cols is None:
+            raise instance_error((tid, tindex))
         positions = cols.gpos
         if not 0 <= tindex < len(positions):
-            raise IndexError(tindex)
+            raise instance_error((tid, tindex), len(positions))
         return positions[tindex]
 
     def set_gpos(self, tid: int, tindex: int, gpos: int) -> None:
@@ -269,9 +290,11 @@ class ColumnarTraceStore:
 
     def get(self, instance: Instance) -> TraceRecord:
         tid, tindex = instance
-        if tindex < 0:
-            raise IndexError(tindex)
-        cols = self._columns[tid]
+        cols = self._columns.get(tid)
+        if cols is None:
+            raise instance_error(instance)
+        if not 0 <= tindex < len(cols.cache):
+            raise instance_error(instance, len(cols.cache))
         # Cache-hit fast path: repeated lookups of the same instance (the
         # slicer chasing cd chains and dependence edges) skip materialize.
         record = cols.cache[tindex]
