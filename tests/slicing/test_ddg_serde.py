@@ -6,7 +6,9 @@ table-driven corrupt-blob tests (truncated, CRC flip, version skew)
 mirroring the pinball format suite.
 """
 
+import json
 import struct
+import zlib
 
 import pytest
 
@@ -151,6 +153,29 @@ def _flip_section_byte(blob: bytes) -> bytes:
     return blob[:offset] + bytes([blob[offset] ^ 0xFF]) + blob[offset + 1:]
 
 
+def _replace_section(blob: bytes, name: str, raw: bytes) -> bytes:
+    """Re-pack ``blob`` with section ``name`` holding ``raw`` (valid CRC,
+    valid lengths: only the content is wrong)."""
+    _, header_len = struct.unpack_from("<HI", blob, len(MAGIC))
+    body = len(MAGIC) + struct.calcsize("<HI")
+    header = json.loads(blob[body:body + header_len])
+    offset = body + header_len
+    payloads = []
+    for entry in header["sections"]:
+        section, comp_len = entry[0], entry[1]
+        payload = blob[offset:offset + comp_len]
+        offset += comp_len
+        if section == name:
+            payload = zlib.compress(raw)
+            entry[1:] = [len(payload), zlib.crc32(payload) & 0xFFFFFFFF,
+                         len(raw)]
+        payloads.append(payload)
+    head = json.dumps(header, separators=(",", ":"),
+                      sort_keys=True).encode("utf-8")
+    return b"".join([MAGIC, struct.pack("<HI", FORMAT_VERSION, len(head)),
+                     head] + payloads)
+
+
 def _bump_version(blob: bytes) -> bytes:
     head = struct.pack("<HI", FORMAT_VERSION + 1,
                        struct.unpack_from("<HI", blob, len(MAGIC))[1])
@@ -182,6 +207,22 @@ class TestCorruptBlobs:
             deserialize_index(bad, options=options, source="<test-blob>",
                               fingerprint=fingerprint)
         assert needle in str(excinfo.value)
+        assert "<test-blob>" in str(excinfo.value)
+
+    def test_malformed_values_section_fails_when_nodes_are_read(self,
+                                                                 built):
+        """The written-value column is parsed only by a slice that builds
+        its nodes: slicing works, reading the nodes is a typed error."""
+        _, _, options, _, fingerprint, blob = built
+        bad = _replace_section(blob, "values", b"[]")
+        frozen = deserialize_index(bad, options=options, source="<test-blob>",
+                                   fingerprint=fingerprint)
+        dslice = frozen.slice(frozen.instance_of(frozen.node_count - 1))
+        assert len(dslice) == sum(map(len, dslice.to_keep().values()))
+        assert len(dslice.edge_rows()) == dslice.stats["edges"]
+        with pytest.raises(PinballFormatError) as excinfo:
+            dict(dslice.nodes.items())
+        assert "values section" in str(excinfo.value)
         assert "<test-blob>" in str(excinfo.value)
 
     def test_good_blob_still_loads_after_the_table_ran(self, built):
