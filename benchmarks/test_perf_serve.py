@@ -14,9 +14,13 @@ service adds over the single-process CLI:
   pool with the index LRU enabled (hot: answered from the resident
   session's memoized DDG) vs disabled (cold: rebuild per query).
 
-Each phase carries an ``obs`` block harvested from an *untimed*
-instrumented re-run (workers started with the observability registry
-enabled), so the timed sections stay obs-free.  Results go to
+Every timed phase starts from the same empty index cache (the store's
+``indexes/`` blobs), so the 4-worker phase builds what the 1-worker
+phase built, instead of warm-starting from it.  Each phase carries an
+``obs`` block, with its index-cache hits and misses, harvested from an
+*untimed* instrumented re-run from that same empty cache (workers
+started with the observability registry enabled), so the timed
+sections stay obs-free.  Results go to
 ``BENCH_serve.json`` at the repo root.  In full mode the run asserts
 the acceptance bars:
 
@@ -37,6 +41,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import shutil
 import threading
 import time
 from contextlib import contextmanager
@@ -193,10 +198,23 @@ def _worker_obs(pool: WorkerPool) -> Dict[str, int]:
     return totals
 
 
+def _empty_index_cache(root: str) -> None:
+    """Drop the store's derived index blobs: every phase (and its obs
+    re-run) starts from the same empty cache, so no phase warm-starts
+    from indexes an earlier one built."""
+    shutil.rmtree(PinballStore(root).index_root, ignore_errors=True)
+
+
+def _index_cache_counts(obs: Dict[str, int]) -> Dict[str, int]:
+    return {"hits": obs.get("index_cache.hits", 0),
+            "misses": obs.get("index_cache.misses", 0)}
+
+
 def _bench_throughput(root: str, requests: List[dict]) -> List[dict]:
     """Phase 1: cold-pool closed-loop throughput, 1 vs 4 workers."""
     rows = []
     for workers in WORKER_COUNTS:
+        _empty_index_cache(root)
         with WorkerPool(root, workers=workers, queue_limit=256,
                         default_timeout=600,
                         lru_entries=RECORDINGS) as pool:
@@ -204,6 +222,7 @@ def _bench_throughput(root: str, requests: List[dict]) -> List[dict]:
             elapsed = _closed_loop(pool, requests, CLIENTS)
             counts = pool.stats()
         # Untimed instrumented re-run for the obs block.
+        _empty_index_cache(root)
         with WorkerPool(root, workers=workers, queue_limit=256,
                         default_timeout=600, lru_entries=RECORDINGS,
                         obs=True) as pool:
@@ -217,6 +236,7 @@ def _bench_throughput(root: str, requests: List[dict]) -> List[dict]:
             "wall_time_sec": elapsed,
             "requests_per_sec": len(requests) / elapsed,
             "pool_counts": counts,
+            "index_cache": _index_cache_counts(obs),
             "obs": obs,
         })
     return rows
@@ -227,6 +247,7 @@ def _bench_session_cache(root: str, requests: List[dict]) -> List[dict]:
     request = requests[0]
     rows = []
     for mode, lru_entries in (("hot", 4), ("cold", 0)):
+        _empty_index_cache(root)
         with WorkerPool(root, workers=1, queue_limit=64,
                         default_timeout=600,
                         lru_entries=lru_entries) as pool:
@@ -241,6 +262,7 @@ def _bench_session_cache(root: str, requests: List[dict]) -> List[dict]:
                     pool.call("slice", dict(request),
                               key=request["pinball"], timeout=600)
                 elapsed = time.perf_counter() - started
+        _empty_index_cache(root)
         with WorkerPool(root, workers=1, queue_limit=64,
                         default_timeout=600, lru_entries=lru_entries,
                         obs=True) as pool:
@@ -255,6 +277,7 @@ def _bench_session_cache(root: str, requests: List[dict]) -> List[dict]:
             "queries": HOT_QUERIES,
             "wall_time_sec": elapsed,
             "sec_per_query": elapsed / HOT_QUERIES,
+            "index_cache": _index_cache_counts(obs),
             "obs": obs,
         })
     return rows

@@ -6,7 +6,8 @@ repeated in-situ re-execution.  Three stages:
 
 1. **Detect** — one online race-detection pass over the recording
    (:func:`repro.detect.detect_races`, untraced fast path) plus maple
-   interleaving profiling yields racy site pairs and predicted iRoots.
+   interleaving profiling (on the recorder protocol, untraced too)
+   yields racy site pairs and predicted iRoots.
 2. **Permute** — each candidate becomes a fresh schedule of the same
    program/region/inputs: racy pairs and iRoots are *forced* (both
    orders) with the maple active scheduler; remaining budget goes to
@@ -18,8 +19,16 @@ repeated in-situ re-execution.  Three stages:
    round-robin reference), or **benign**.  Each distinct confirmed
    failure is then greedily minimized — context switches are removed
    from the exposing schedule while the failure keeps reproducing —
-   and re-recorded into a *minimized pinball*, with a pre-computed
+   and recorded into a *minimized pinball*, with a pre-computed
    slice report rooted at the failing instruction.
+
+Every re-execution (the reference run, each candidate, each
+minimization attempt) is a *bare* run of the region, with no recorder
+and no tool; its outcome is read off the machine, and a candidate's
+schedule off its scheduler's commits.  A minimization attempt forks a
+base machine that ran the current schedule up to where the attempt
+diverges, and runs only the suffix.  One pinball is recorded per
+finding: the final minimized schedule's.
 
 Everything is deterministic by construction: candidates are generated
 in sorted order, evaluated independently, and merged by candidate id —
@@ -31,6 +40,7 @@ asserts it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import config
@@ -38,15 +48,18 @@ from repro.analysis.report import (HuntFinding, RaceFinding, SliceReport,
                                    hunt_report_payload)
 from repro.detect import detect_races
 from repro.isa.program import Program
-from repro.maple.active_scheduler import ActiveScheduler, ActiveSchedulerWatch
+from repro.maple.active_scheduler import ActiveScheduler
 from repro.maple.idioms import IRoot, MemAccess
 from repro.maple.profiler import InterleavingProfiler
 from repro.obs.registry import OBS
-from repro.pinplay.logger import record_region
+from repro.pinplay.format_v2 import capture_state
+from repro.pinplay.logger import enter_region, record_region, run_region
 from repro.pinplay.pinball import Pinball
 from repro.pinplay.regions import RegionSpec
+from repro.pinplay.replayer import restore_machine
+from repro.vm.machine import Machine
 from repro.vm.scheduler import (RandomScheduler, RoundRobinScheduler,
-                                Scheduler)
+                                ScheduleRecorder, Scheduler)
 
 __all__ = ["HuntResult", "PerturbedScheduler", "confirm", "evaluate",
            "hunt", "hunt_context", "make_candidates", "scan"]
@@ -55,10 +68,6 @@ __all__ = ["HuntResult", "PerturbedScheduler", "confirm", "evaluate",
 SEED_SWITCH_PROB = 0.3
 #: Active-scheduler delay budget per forced candidate.
 GIVE_UP_BUDGET = 4_000
-#: Hard ceiling on candidate run length (multiple of the recording).
-STEP_CAP_FACTOR = 8
-#: Floor for the step cap (tiny recordings still need room to finish).
-STEP_CAP_MIN = 50_000
 
 
 class PerturbedScheduler(Scheduler):
@@ -70,6 +79,8 @@ class PerturbedScheduler(Scheduler):
     round-robin tail takes over.  That makes any mutation of a recorded
     schedule executable — the property minimization relies on.
     Deterministic for a fixed run list.
+
+    ``leaves[i]`` notes the steps committed before it left run ``i``.
     """
 
     def __init__(self, runs: Sequence[Tuple[int, int]],
@@ -79,20 +90,21 @@ class PerturbedScheduler(Scheduler):
         self._index = 0
         self._used = 0
         self._tail = RoundRobinScheduler(quantum=quantum)
+        self.steps = 0
+        self.leaves: List[int] = []
 
     def pick(self, runnable: Sequence[int], last: Optional[int]) -> int:
         runs = self._runs
         while self._index < len(runs):
             tid, count = runs[self._index]
-            if self._used >= count:
-                self._index += 1
-                self._used = 0
-                continue
-            if tid in runnable:
-                return tid
-            # Intended thread blocked or finished early under this
-            # perturbation: drop the rest of its run.  (Mutating here is
-            # safe: hunt runs never discard picks — no breakpoints.)
+            if self._used < count:
+                if tid in runnable:
+                    return tid
+                # Intended thread blocked or finished early under this
+                # perturbation: drop the rest of its run.  (Mutating here
+                # is safe: hunt runs never discard picks — no
+                # breakpoints.)
+            self.leaves.append(self.steps)
             self._index += 1
             self._used = 0
         return self._tail.pick(runnable, last)
@@ -109,11 +121,57 @@ class PerturbedScheduler(Scheduler):
         return self._tail.lease(tid)
 
     def commit_many(self, tid: int, n: int) -> None:
+        self.steps += n
         runs = self._runs
         if self._index < len(runs) and tid == runs[self._index][0]:
             self._used += n
         else:
             self._tail.commit_many(tid, n)
+
+    def follow(self, runs: Sequence[Tuple[int, int]]) -> "PerturbedScheduler":
+        """A scheduler over ``runs`` standing where this one stands: it
+        picks as a fresh one that had driven the same steps would, if
+        ``runs`` merges the current run with its successors."""
+        twin = PerturbedScheduler(runs, quantum=self._tail.quantum)
+        twin._index, twin._used = self._index, self._used
+        twin.steps, twin.leaves = self.steps, list(self.leaves)
+        return twin
+
+
+class _LoggedScheduler(Scheduler):
+    """Drives ``inner`` and logs its committed steps as an RLE schedule:
+    what a recorder would log for the run, without one."""
+
+    def __init__(self, inner: Scheduler) -> None:
+        self.inner = inner
+        self.schedule = ScheduleRecorder()
+
+    def attach(self, machine) -> None:
+        self.inner.attach(machine)
+
+    def pick(self, runnable: Sequence[int], last: Optional[int]) -> int:
+        return self.inner.pick(runnable, last)
+
+    def commit(self, tid: int) -> None:
+        self.inner.commit(tid)
+        self.schedule.record(tid)
+
+    def commit_many(self, tid: int, n: int) -> None:
+        self.inner.commit_many(tid, n)
+        for _ in range(n):
+            self.schedule.record(tid)
+
+    def lease(self, tid: int) -> int:
+        return self.inner.lease(tid)
+
+    def intended(self) -> Optional[int]:
+        return self.inner.intended()
+
+    def on_thread_created(self, tid: int) -> None:
+        self.inner.on_thread_created(tid)
+
+    def on_thread_finished(self, tid: int) -> None:
+        self.inner.on_thread_finished(tid)
 
 
 # -- context / candidates -----------------------------------------------------
@@ -139,14 +197,12 @@ def hunt_context(pinball: Pinball, program: Program,
         "skip": int(meta.get("skip", 0) or 0),
         "length": meta.get("length"),
         "heap_poison": bool(memory_snap.get("poison", False)),
-        "step_cap": max(STEP_CAP_MIN,
-                        STEP_CAP_FACTOR * int(meta.get("schedule_steps", 0))),
         "recorded_runs": [list(run) for run in pinball.schedule],
         "reference_output": None,
     }
-    reference = _execute(program, RoundRobinScheduler(), ctx)
-    if not reference.meta.get("failure"):
-        ctx["reference_output"] = list(reference.meta.get("output", []))
+    failure, output = _run(program, RoundRobinScheduler(), ctx)
+    if failure is None:
+        ctx["reference_output"] = output
     return ctx
 
 
@@ -156,14 +212,29 @@ def _region(ctx: dict) -> RegionSpec:
                       length=int(length) if length is not None else None)
 
 
-def _execute(program: Program, scheduler: Scheduler, ctx: dict,
-             extra_tools=()) -> Pinball:
-    """One pinned re-execution of the hunted region."""
-    return record_region(program, scheduler, _region(ctx),
-                         inputs=ctx.get("inputs", ()),
-                         rand_seed=int(ctx.get("rand_seed", 0)),
-                         extra_tools=extra_tools,
-                         heap_poison=bool(ctx.get("heap_poison", False)))
+def _enter(program: Program, scheduler: Scheduler, ctx: dict) -> Machine:
+    """A fresh machine pinned for the hunted region, at region entry."""
+    machine = Machine(program, scheduler=scheduler,
+                      inputs=ctx.get("inputs", ()),
+                      rand_seed=int(ctx.get("rand_seed", 0)),
+                      heap_poison=bool(ctx.get("heap_poison", False)))
+    enter_region(machine, _region(ctx))
+    return machine
+
+
+def _finish(machine: Machine, start: int,
+            ctx: dict) -> Tuple[Optional[dict], list]:
+    """Run ``machine`` on to the region's end: its failure (or None) and
+    its output past ``start``, the output's length at region start."""
+    run_region(machine, _region(ctx))
+    return machine.failure, machine.output[start:]
+
+
+def _run(program: Program, scheduler: Scheduler,
+         ctx: dict) -> Tuple[Optional[dict], list]:
+    """One bare re-execution of the hunted region (see :func:`_finish`)."""
+    machine = _enter(program, scheduler, ctx)
+    return _finish(machine, len(machine.output), ctx)
 
 
 def _access_kinds(kind: str) -> Tuple[bool, bool]:
@@ -247,30 +318,29 @@ def scan(pinball: Pinball, program: Program,
     return races, candidates, ctx
 
 
-def _scheduler_for(candidate: dict, ctx: dict):
-    """(scheduler, extra_tools) realizing one candidate."""
+def _scheduler_for(candidate: dict, ctx: dict) -> Scheduler:
+    """The scheduler realizing one candidate."""
     if candidate["mode"] == "recorded":
-        return (PerturbedScheduler(ctx.get("recorded_runs", ())), ())
+        return PerturbedScheduler(ctx.get("recorded_runs", ()))
     if candidate["mode"] == "seed":
-        return (RandomScheduler(seed=int(candidate["seed"]),
-                                switch_prob=SEED_SWITCH_PROB), ())
+        return RandomScheduler(seed=int(candidate["seed"]),
+                               switch_prob=SEED_SWITCH_PROB)
     iroot = IRoot(MemAccess(int(candidate["first_pc"]),
                             bool(candidate["first_write"])),
                   MemAccess(int(candidate["second_pc"]),
                             bool(candidate["second_write"])))
-    watch = ActiveSchedulerWatch(iroot)
-    return (ActiveScheduler(watch, give_up_budget=GIVE_UP_BUDGET), (watch,))
+    return ActiveScheduler(iroot, give_up_budget=GIVE_UP_BUDGET)
 
 
-def _classify(pinball: Pinball, ctx: dict) -> Tuple[str, Optional[dict]]:
-    failure = pinball.meta.get("failure")
+def _classify(failure: Optional[dict], output: Sequence, ctx: dict) -> str:
+    """The outcome of a region run that ended with ``failure`` (or
+    None) and printed ``output`` since region start."""
     if failure:
-        return "crash", failure
+        return "crash"
     reference = ctx.get("reference_output")
-    if (reference is not None
-            and list(pinball.meta.get("output", [])) != list(reference)):
-        return "wrong-output", None
-    return "benign", None
+    if reference is not None and list(output) != list(reference):
+        return "wrong-output"
+    return "benign"
 
 
 def evaluate(program: Program, candidates: Sequence[dict],
@@ -283,15 +353,18 @@ def evaluate(program: Program, candidates: Sequence[dict],
     """
     rows: List[dict] = []
     for candidate in candidates:
-        scheduler, extras = _scheduler_for(candidate, ctx)
+        scheduler = _LoggedScheduler(_scheduler_for(candidate, ctx))
         with OBS.span("hunt.candidate_run"):
-            pinball = _execute(program, scheduler, ctx, extra_tools=extras)
-        outcome, failure = _classify(pinball, ctx)
+            machine = _enter(program, scheduler, ctx)
+            scheduler.schedule = ScheduleRecorder()   # region steps only
+            failure, output = _finish(machine, len(machine.output), ctx)
+        del machine
+        outcome = _classify(failure, output, ctx)
         row = {"cid": candidate["cid"], "outcome": outcome,
-               "failure": failure,
-               "output": list(pinball.meta.get("output", []))}
+               "failure": failure, "output": output}
         if outcome != "benign":
-            row["schedule_runs"] = [list(run) for run in pinball.schedule]
+            row["schedule_runs"] = [list(run)
+                                    for run in scheduler.schedule.runs]
         rows.append(row)
         if OBS.enabled:
             OBS.add("hunt.candidate_runs", 1)
@@ -299,13 +372,14 @@ def evaluate(program: Program, candidates: Sequence[dict],
     return rows
 
 
-def _reproduces(pinball: Pinball, outcome: str, failure: Optional[dict],
-                ctx: dict) -> bool:
-    got, got_failure = _classify(pinball, ctx)
+def _reproduces(failure: Optional[dict], output: Sequence, outcome: str,
+                expected: Optional[dict], ctx: dict) -> bool:
+    """Does a run ending with ``failure``/``output`` show ``outcome``
+    (for a crash: with ``expected``'s failure code)?"""
+    got = _classify(failure, output, ctx)
     if outcome == "crash":
-        return (got == "crash" and got_failure is not None
-                and failure is not None
-                and got_failure.get("code") == failure.get("code"))
+        return (got == "crash" and expected is not None
+                and failure.get("code") == expected.get("code"))
     return got == outcome
 
 
@@ -322,6 +396,14 @@ def _normalize(runs: List[List[int]]) -> List[List[int]]:
     return out
 
 
+def _fork(program: Program, base: Machine, scheduler: Scheduler) -> Machine:
+    """A copy of ``base``, from its current state on driven by
+    ``scheduler``."""
+    body = capture_state(base, {}, base.output)
+    return restore_machine(program, body["snapshot"], scheduler, body=body,
+                           global_seq=base.global_seq, engine=base.engine)
+
+
 def minimize_schedule(program: Program, runs, outcome: str,
                       failure: Optional[dict], ctx: dict,
                       budget: int = 64
@@ -331,47 +413,84 @@ def minimize_schedule(program: Program, runs, outcome: str,
     Repeatedly tries to remove one context switch — merging a run into
     its predecessor's thread — keeping any mutation under which the
     failure still reproduces.  Returns the minimized run list, the
-    re-recorded minimized pinball, and the trial count.
+    recorded minimized pinball, and the trial count.
+
+    An attempt merging runs *i* and *i+1* picks as the current schedule
+    does until that schedule leaves run *i*, so it forks a base machine
+    run forward to that step (``leaves[i]``: the prefix sums for the
+    exposing schedule, which runs exactly, then the accepted attempt's
+    own notes).  An attempt without a note runs from region entry.
+    Each pass restarts the base at region entry.
     """
     current = _normalize([list(run) for run in runs])
-    best: Optional[Pinball] = None
-    trials = 0
-
-    def attempt(candidate_runs) -> Optional[Pinball]:
-        pinball = _execute(program, PerturbedScheduler(candidate_runs), ctx)
-        if _reproduces(pinball, outcome, failure, ctx):
-            return pinball
-        return None
-
+    # Steps are counted from machine start, so behind a fast-forward
+    # (``skip``) the notes would place most merges inside it: there
+    # every attempt runs from region entry.
+    forks = not _region(ctx).skip
+    leaves = (list(accumulate(count for _tid, count in current))
+              if forks else [])
+    removed = False
+    trials = reused = base_start = 0
+    base: Optional[Machine] = None
+    base_scheduler: Optional[PerturbedScheduler] = None
     with OBS.span("hunt.minimize"):
         improved = True
         while improved and trials < budget:
             improved = False
             index = 0
+            base = None
             while index < len(current) - 1 and trials < budget:
                 merged = [list(run) for run in current]
                 merged[index][1] += merged[index + 1][1]
                 del merged[index + 1]
                 merged = _normalize(merged)
                 trials += 1
-                pinball = attempt(merged)
-                if pinball is not None:
-                    current = merged
-                    best = pinball
-                    improved = True
-                else:
+                ran = None
+                if index < len(leaves):
+                    if base is None:
+                        base_scheduler = PerturbedScheduler(current)
+                        base = _enter(program, base_scheduler, ctx)
+                        base_start = len(base.output)
+                    ahead = leaves[index] - base_scheduler.steps
+                    if ahead > 0:
+                        base.run(max_steps=ahead)
+                    # Until the base leaves run ``index``, each of its
+                    # picks is one the merged list makes too.
+                    if ahead >= 0 and len(base_scheduler.leaves) <= index:
+                        scheduler = base_scheduler.follow(merged)
+                        reused += base_scheduler.steps
+                        ran = _finish(_fork(program, base, scheduler),
+                                      base_start, ctx)
+                if ran is None:
+                    scheduler = PerturbedScheduler(merged)
+                    ran = _run(program, scheduler, ctx)
+                if not _reproduces(*ran, outcome, failure, ctx):
                     index += 1
-    if best is None:
-        # Nothing could be removed: re-record the original schedule so
-        # the minimized pinball is still a PerturbedScheduler product
-        # (deterministic bytes either way).
-        best = _execute(program, PerturbedScheduler(current), ctx)
-        if not _reproduces(best, outcome, failure, ctx):
-            raise RuntimeError(
-                "exposing schedule did not reproduce under re-execution")
+                    continue
+                current = merged
+                removed = improved = True
+                if forks:
+                    leaves = scheduler.leaves
+                if base is not None and len(base_scheduler.leaves) <= index:
+                    base_scheduler = base_scheduler.follow(merged)
+                    base.scheduler = base_scheduler
+                else:
+                    base = None
+        base = None
+        pinball = record_region(
+            program, PerturbedScheduler(current), _region(ctx),
+            inputs=ctx.get("inputs", ()),
+            rand_seed=int(ctx.get("rand_seed", 0)),
+            heap_poison=bool(ctx.get("heap_poison", False)))
+    if not removed and not _reproduces(
+            pinball.meta.get("failure"), pinball.meta.get("output", []),
+            outcome, failure, ctx):
+        raise RuntimeError(
+            "exposing schedule did not reproduce under re-execution")
     if OBS.enabled:
         OBS.add("hunt.minimize_trials", trials)
-    return current, best, trials
+        OBS.add("hunt.prefix_steps", reused)
+    return current, pinball, trials
 
 
 def confirm(program: Program, candidate: dict, row: dict, ctx: dict,

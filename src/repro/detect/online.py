@@ -30,19 +30,21 @@ from repro.isa.program import GLOBAL_BASE, Program
 from repro.obs.registry import OBS
 from repro.pinplay.pinball import Pinball
 from repro.pinplay.replayer import replay_machine
+from repro.vm.hooks import ListeningRecorder
 from repro.vm.machine import Machine
 
 __all__ = ["OnlineRaceDetector", "detect_races_online", "online_capable"]
 
 
-class OnlineRaceDetector(RaceDetectorTool):
+class OnlineRaceDetector(ListeningRecorder, RaceDetectorTool):
     """Vector-clock detector fed from the record/untraced fast path.
 
     Registered both as a machine tool (sync and lifecycle events arrive
     through the ordinary hooks) and as the machine's recorder (memory
     accesses arrive through :meth:`on_mem`).  The schedule-recording
-    half of the recorder protocol (``append_run``, ``capture``) is
-    deliberately inert — this recorder listens, it does not log.
+    half of the recorder protocol is inert
+    (:class:`~repro.vm.hooks.ListeningRecorder`) — this recorder
+    listens, it does not log.
     """
 
     wants_instr_events = False     # keeps the fast path armed
@@ -50,12 +52,6 @@ class OnlineRaceDetector(RaceDetectorTool):
     def __init__(self, watch_low: int = 0,
                  watch_high: Optional[int] = None) -> None:
         super().__init__(watch_low=watch_low, watch_high=watch_high)
-        # Recorder-protocol state the machine loop reads/writes.
-        self.checkpoint_interval = 0
-        self.next_checkpoint = 0
-        self.steps_done = 0
-        self._run_tid: Optional[int] = None
-        self._run_count = 0
         self._mem_ops_cell = [0]
         #: on_mem ignores every address outside [low, high), so the
         #: machine skips the call for a one-address step outside it.
@@ -73,17 +69,6 @@ class OnlineRaceDetector(RaceDetectorTool):
     def attach(self, machine: Machine) -> None:
         machine.add_tool(self)
         machine.set_recorder(self)
-
-    # -- inert recorder-protocol half --------------------------------------
-
-    def append_run(self, tid: int, count: int) -> None:
-        pass
-
-    def capture(self, machine: Machine, steps_done: int) -> None:
-        pass
-
-    def finish(self) -> None:
-        pass
 
     # -- accesses ----------------------------------------------------------
 

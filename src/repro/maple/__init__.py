@@ -23,12 +23,11 @@ bug deterministically.
 
 from repro.maple.idioms import IRoot, MemAccess
 from repro.maple.profiler import InterleavingProfiler, ProfilerTool
-from repro.maple.active_scheduler import ActiveScheduler, ActiveSchedulerWatch
+from repro.maple.active_scheduler import ActiveScheduler
 from repro.maple.expose import MapleResult, expose_and_record
 
 __all__ = [
     "ActiveScheduler",
-    "ActiveSchedulerWatch",
     "IRoot",
     "InterleavingProfiler",
     "MapleResult",

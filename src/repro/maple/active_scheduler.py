@@ -11,13 +11,13 @@ priorities"):
 * a give-up budget bounds the delay, so an unrealizable candidate cannot
   livelock the run (Maple's timeout analog).
 
-The companion :class:`ActiveSchedulerWatch` tool tells the scheduler when
-the first access actually executed.  Crucially — this is the DrDebug
-integration the paper describes — the scheduler works under the PinPlay
-logger: the forced schedule is recorded like any other, so the exposed bug
-is captured in an ordinary pinball.  (The instrumentation-ordering care the
-paper needed between Maple and the logger reduces here to the watch tool
-being independent of the logger tool.)
+The scheduler watches its own iRoot: it notes a committed step on one
+of the two sites and settles the note at the next pick (or when the
+watch is read), counting it only if the thread retired an instruction.
+With no per-instruction tool the forced run stays on the untraced path,
+and — the DrDebug integration the paper describes — records under the
+PinPlay logger like any other schedule, so the exposed bug lands in an
+ordinary pinball.  A region's fast-forward steps are not watched.
 """
 
 from __future__ import annotations
@@ -25,43 +25,28 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.maple.idioms import IRoot
-from repro.vm.hooks import InstrEvent, Tool
 from repro.vm.scheduler import Scheduler
-
-
-class ActiveSchedulerWatch(Tool):
-    """Reports executions of the iRoot's access sites to the scheduler."""
-
-    wants_instr_events = True
-
-    def __init__(self, iroot: IRoot) -> None:
-        self.iroot = iroot
-        self.first_done_by: Optional[int] = None
-        self.second_done_by: Optional[int] = None
-        self.realized = False
-
-    def on_instr(self, event: InstrEvent) -> None:
-        if event.addr == self.iroot.first.pc and self.first_done_by is None:
-            self.first_done_by = event.tid
-        elif (event.addr == self.iroot.second.pc
-              and self.first_done_by is not None
-              and self.second_done_by is None):
-            self.second_done_by = event.tid
-            if event.tid != self.first_done_by:
-                self.realized = True
 
 
 class ActiveScheduler(Scheduler):
     """Priority-controlled scheduler steering toward one iRoot."""
 
-    def __init__(self, watch: ActiveSchedulerWatch,
+    def __init__(self, iroot: IRoot,
                  give_up_budget: int = 10_000,
                  base_quantum: int = 20) -> None:
-        self.watch = watch
+        self.iroot = iroot
         self.give_up_budget = give_up_budget
         self.base_quantum = base_quantum
         self.delays = 0
         self.gave_up = False
+        self._first_pc = iroot.first.pc
+        self._second_pc = iroot.second.pc
+        self._first_by: Optional[int] = None
+        self._second_by: Optional[int] = None
+        self._realized = False
+        #: (tid, pc, retired count) of the last committed step on a
+        #: watched site, until the next pick settles it.
+        self._note: Optional[tuple] = None
         self._machine = None
         self._remaining = base_quantum
         self._current: Optional[int] = None
@@ -69,18 +54,53 @@ class ActiveScheduler(Scheduler):
     def attach(self, machine) -> None:
         self._machine = machine
 
-    def _is_held(self, tid: int) -> bool:
-        """Should ``tid`` be delayed right now?"""
-        if self.gave_up or self.watch.first_done_by is not None:
-            return False
-        thread = self._machine.threads.get(tid)
-        return thread is not None and thread.pc == self.iroot_second_pc
+    # -- the iRoot watch ------------------------------------------------------
+
+    def _settle(self) -> None:
+        note = self._note
+        if note is None:
+            return
+        self._note = None
+        tid, pc, retired = note
+        if self._machine.threads[tid].instr_count <= retired:
+            return      # the step blocked: nothing executed
+        if pc == self._first_pc and self._first_by is None:
+            self._first_by = tid
+        elif (pc == self._second_pc and self._first_by is not None
+              and self._second_by is None):
+            self._second_by = tid
+            self._realized = tid != self._first_by
 
     @property
-    def iroot_second_pc(self) -> int:
-        return self.watch.iroot.second.pc
+    def first_done_by(self) -> Optional[int]:
+        """The thread that executed the iRoot's first access, if any."""
+        self._settle()
+        return self._first_by
+
+    @property
+    def second_done_by(self) -> Optional[int]:
+        """The thread that executed the second access after the first."""
+        self._settle()
+        return self._second_by
+
+    @property
+    def realized(self) -> bool:
+        """Did the two accesses run in iRoot order from different threads?"""
+        self._settle()
+        return self._realized
+
+    # -- scheduling -----------------------------------------------------------
+
+    def _is_held(self, tid: int) -> bool:
+        """Should ``tid`` be delayed right now?"""
+        if self.gave_up or self._first_by is not None:
+            return False
+        thread = self._machine.threads.get(tid)
+        return thread is not None and thread.pc == self._second_pc
 
     def pick(self, runnable: Sequence[int], last: Optional[int]) -> int:
+        if self._note is not None:
+            self._settle()
         eligible = [tid for tid in runnable if not self._is_held(tid)]
         if not eligible:
             # Everyone runnable sits at the second access: we must run one
@@ -110,3 +130,11 @@ class ActiveScheduler(Scheduler):
         else:
             self._current = tid
             self._remaining = self.base_quantum - 1
+        if self._second_by is not None:
+            return      # the watch is complete
+        machine = self._machine
+        thread = machine.threads[tid]
+        pc = thread.pc
+        if ((pc == self._first_pc or pc == self._second_pc)
+                and not machine.fast_forwarding):
+            self._note = (tid, pc, thread.instr_count)

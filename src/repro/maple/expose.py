@@ -8,6 +8,11 @@ Workflow (paper Section 6, "Integration with Maple"):
    the PinPlay logger*.  The first run that trips the failure symptom
    yields a pinball that replays the bug deterministically — ready for
    cyclic debugging and slicing.
+
+Neither phase builds a per-instruction event on the predecoded engine:
+the profiler listens on the recorder protocol, and the active scheduler
+watches its iRoot itself, so its runs record on the event-free
+:class:`~repro.pinplay.logger.FastRecorder` path.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.isa.program import Program
-from repro.maple.active_scheduler import ActiveScheduler, ActiveSchedulerWatch
+from repro.maple.active_scheduler import ActiveScheduler
 from repro.maple.idioms import IRoot
 from repro.maple.profiler import InterleavingProfiler
 from repro.obs.registry import OBS
@@ -78,11 +83,10 @@ def expose_and_record(program: Program,
     active_runs = 0
     for iroot in candidates[:max_active_runs]:
         active_runs += 1
-        watch = ActiveSchedulerWatch(iroot)
-        scheduler = ActiveScheduler(watch, give_up_budget=give_up_budget)
+        scheduler = ActiveScheduler(iroot, give_up_budget=give_up_budget)
         with OBS.span("maple.active_run"):
             pinball = record_region(program, scheduler, region,
-                                    inputs=inputs, extra_tools=[watch])
+                                    inputs=inputs)
         if OBS.enabled:
             OBS.add("maple.active_runs", 1)
             OBS.add("maple.iroots_forced", 1)

@@ -1,11 +1,17 @@
 """Maple's profiling phase: observe interleavings, predict untested ones.
 
 Each profiling run executes the program under a differently-seeded random
-scheduler while a tool records, for every shared address, the ordered
-pairs of static access sites that executed back-to-back from different
-threads (with at least one write) — the *observed* iRoots.  Predicted
-iRoots are the reversals of observed ones that no run has exhibited yet;
-those are the candidate interleavings the active scheduler will force.
+scheduler while a :class:`ProfilerTool` records, for every shared
+address, the ordered pairs of static access sites that executed
+back-to-back from different threads (with at least one write) — the
+*observed* iRoots.  Predicted iRoots are the reversals of observed ones
+that no run has exhibited yet; those are the candidate interleavings the
+active scheduler will force.
+
+The tool listens on the recorder protocol like the online race
+detector (:meth:`ProfilerTool.on_mem`, untraced); the legacy engine has
+no recorder path, so there it takes instruction events
+(:meth:`ProfilerTool.on_instr`).  Both feeds reach one access core.
 """
 
 from __future__ import annotations
@@ -15,22 +21,35 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.isa.program import Program
 from repro.maple.idioms import IRoot, MemAccess
 from repro.obs.registry import OBS
-from repro.vm.hooks import InstrEvent, Tool
+from repro.vm.hooks import InstrEvent, ListeningRecorder, Tool
 from repro.vm.machine import Machine
 from repro.vm.scheduler import RandomScheduler
 
 
-class ProfilerTool(Tool):
+class ProfilerTool(ListeningRecorder, Tool):
     """Records observed idiom-1 iRoots during one run."""
 
+    #: The legacy engine's feed; the predecoded engine arms the tool as
+    #: its recorder instead and never builds an event.
     wants_instr_events = True
 
     def __init__(self, shared_limit: Optional[int] = None) -> None:
         #: Only addresses below this count as interesting (defaults to all).
         self.shared_limit = shared_limit
+        #: on_mem ignores every address outside [0, shared_limit), so the
+        #: machine skips the call for a one-address step outside it.
+        self.watch_window = (0, shared_limit if shared_limit is not None
+                             else float("inf"))
         self.observed: Set[IRoot] = set()
         #: addr -> (tid, pc, is_write) of the last access.
         self._last: Dict[int, Tuple[int, int, bool]] = {}
+
+    def attach(self, machine: Machine) -> None:
+        """Arm the recorder feed where the engine has one."""
+        if machine.engine == "predecoded":
+            machine.set_recorder(self)
+        else:
+            machine.add_tool(self)
 
     def _access(self, tid: int, pc: int, addr: int, is_write: bool) -> None:
         if self.shared_limit is not None and addr >= self.shared_limit:
@@ -43,6 +62,13 @@ class ProfilerTool(Tool):
                     first=MemAccess(last_pc, last_write),
                     second=MemAccess(pc, is_write)))
         self._last[addr] = (tid, pc, is_write)
+
+    def on_mem(self, tid: int, tindex: int, read_addrs, write_addrs,
+               pc: int = -1) -> None:
+        for addr in read_addrs:
+            self._access(tid, pc, addr, False)
+        for addr in write_addrs:
+            self._access(tid, pc, addr, True)
 
     def on_instr(self, event: InstrEvent) -> None:
         for addr, _value in event.mem_reads:
@@ -83,7 +109,8 @@ class InterleavingProfiler:
                     self.program,
                     scheduler=RandomScheduler(seed=seed,
                                               switch_prob=switch_prob),
-                    tools=[tool], inputs=self.inputs)
+                    inputs=self.inputs)
+                tool.attach(machine)
                 machine.run(max_steps=max_steps)
                 self.observed.update(tool.observed)
                 if machine.failure is not None and self.failing_seed is None:

@@ -10,6 +10,10 @@ Two phases, exactly as in the paper:
    retires ``length`` instructions, a failure symptom fires, or the program
    ends.  The tool records the schedule, nondeterministic syscall results,
    shared-memory access-order edges, and per-thread instruction counts.
+
+The two phases are :func:`enter_region` and :func:`run_region`; hunt's
+bare re-executions (:mod:`repro.analysis.hunt`) run the same two with no
+recorder attached.
 """
 
 from __future__ import annotations
@@ -303,13 +307,42 @@ class _CheckpointHook(Tool):
         self.steps += 1
 
 
-def _fast_forward(machine: Machine, skip: int) -> None:
-    """Advance until the main thread has retired ``skip`` instructions."""
+def enter_region(machine: Machine, region: RegionSpec) -> None:
+    """Bring a fresh ``machine`` to the start of ``region``: fast-forward
+    (``machine.fast_forwarding`` set) until the main thread has retired
+    ``region.skip`` instructions, then zero the region counters."""
+    if region.skip:
+        main = machine.threads[MAIN_TID]
+        machine.fast_forwarding = True
+        try:
+            with OBS.span("pinplay.fast_forward"):
+                while (not machine.finished
+                       and main.instr_count < region.skip
+                       and main.status != ThreadStatus.FINISHED):
+                    machine.run(max_steps=region.skip - main.instr_count)
+        finally:
+            machine.fast_forwarding = False
+    machine.reset_counters()
+
+
+def run_region(machine: Machine, region: RegionSpec) -> str:
+    """Run ``machine``, already inside ``region``, to the region's end:
+    ``region.length`` main-thread instructions, the main thread's
+    finish, a failure or program end; returns which (``end_reason``)."""
     main = machine.threads[MAIN_TID]
-    while not machine.finished and main.instr_count < skip:
+    while True:
+        if machine.finished:
+            return ("failure" if machine.failure is not None
+                    else "program_end")
+        if region.length is None:
+            machine.run()
+            continue
+        remaining = region.length - main.instr_count
+        if remaining <= 0:
+            return "length_reached"
         if main.status == ThreadStatus.FINISHED:
-            break
-        machine.run(max_steps=skip - main.instr_count)
+            return "main_finished"
+        machine.run(max_steps=remaining)
 
 
 def record_region(program: Program,
@@ -360,11 +393,7 @@ def record_region(program: Program,
     machine = Machine(program, scheduler=scheduler, inputs=inputs,
                       rand_seed=rand_seed, engine=engine,
                       heap_poison=heap_poison)
-    if region.skip:
-        with OBS.span("pinplay.fast_forward"):
-            _fast_forward(machine, region.skip)
-
-    machine.reset_counters()
+    enter_region(machine, region)
     snapshot = machine.snapshot().to_dict()
     output_start = len(machine.output)
 
@@ -393,26 +422,9 @@ def record_region(program: Program,
         for extra in extra_tools:
             machine.add_tool(extra)
 
-    main = machine.threads[MAIN_TID]
-    end_reason = "program_end"
     try:
         with OBS.span("pinplay.record"):
-            while True:
-                if machine.finished:
-                    end_reason = ("failure" if machine.failure is not None
-                                  else "program_end")
-                    break
-                if region.length is not None:
-                    remaining = region.length - main.instr_count
-                    if remaining <= 0:
-                        end_reason = "length_reached"
-                        break
-                    if main.status == ThreadStatus.FINISHED:
-                        end_reason = "main_finished"
-                        break
-                    machine.run(max_steps=remaining)
-                else:
-                    machine.run()
+            end_reason = run_region(machine, region)
     except BaseException:
         if stream_fh is not None:
             stream_fh.close()

@@ -26,7 +26,7 @@ from repro.vm.errors import ReplayDivergence
 from repro.vm.hooks import Tool
 from repro.vm.machine import (Machine, MachineSnapshot, RunResult,
                               default_engine)
-from repro.vm.scheduler import RecordedScheduler
+from repro.vm.scheduler import RecordedScheduler, Scheduler
 
 
 class SyscallInjector:
@@ -66,6 +66,36 @@ class SyscallInjector:
         """How many results each thread has consumed so far."""
         return {tid: len(self._full[tid]) - len(queue)
                 for tid, queue in self._queues.items()}
+
+
+def restore_machine(program: Program, snapshot: dict, scheduler: Scheduler,
+                    body: Optional[dict] = None, global_seq: int = 0,
+                    tools: Sequence[Tool] = (), syscall_injector=None,
+                    engine: Optional[str] = None) -> Machine:
+    """The restore half of :func:`resume_machine` (hunt forks its
+    minimization attempts with it too): a machine in the state of
+    ``snapshot``, plus, from ``body`` (the
+    :func:`~repro.pinplay.format_v2.capture_state` that holds it), the
+    step clock ``global_seq``, output and per-thread counters.
+    """
+    machine = Machine.from_snapshot(
+        program, MachineSnapshot.from_dict(snapshot),
+        scheduler=scheduler, tools=tools,
+        syscall_injector=syscall_injector, engine=engine)
+    if body is not None:
+        machine.global_seq = global_seq
+        machine.output = list(body["output"])
+        # Snapshots do not carry per-thread retired-instruction
+        # counters; restore them so region-relative tindexes stay
+        # correct after a resume.
+        for tid, count in body["instr_counts"].items():
+            thread = machine.threads.get(tid)
+            if thread is not None:
+                thread.instr_count = count
+        machine._excl_arrivals = {
+            (tid, pc): count
+            for tid, pc, count in body.get("excl_arrivals", ())}
+    return machine
 
 
 def resume_machine(pinball: Pinball, program: Program,
@@ -118,23 +148,10 @@ def resume_machine(pinball: Pinball, program: Program,
         section = "syscall log"
         injector = SyscallInjector(pinball.syscalls, consumed)
         section = where
-        machine = Machine.from_snapshot(
-            program, MachineSnapshot.from_dict(snapshot),
-            scheduler=scheduler, tools=tools,
-            syscall_injector=injector.inject, engine=engine)
-        if body is not None:
-            machine.global_seq = checkpoint.global_seq
-            machine.output = list(body["output"])
-            # Snapshots do not carry per-thread retired-instruction
-            # counters; restore them so region-relative tindexes stay
-            # correct after a resume.
-            for tid, count in body["instr_counts"].items():
-                thread = machine.threads.get(tid)
-                if thread is not None:
-                    thread.instr_count = count
-            machine._excl_arrivals = {
-                (tid, pc): count
-                for tid, pc, count in body.get("excl_arrivals", ())}
+        machine = restore_machine(
+            program, snapshot, scheduler, body=body,
+            global_seq=checkpoint.global_seq if body is not None else 0,
+            tools=tools, syscall_injector=injector.inject, engine=engine)
         section = None
         machine.install_exclusions(pinball.exclusions)
     except PinballFormatError:

@@ -141,6 +141,9 @@ class Machine:
         self.failure: Optional[dict] = None
         self.exit_code: Optional[int] = None
         self.stop_request = False
+        #: True while a region's fast-forward runs (see
+        #: repro.pinplay.logger.enter_region); region observers skip it.
+        self.fast_forwarding = False
         self.breakpoints: set = set()
         self._bp_skip = False
         #: Exclusion-skip support for slice pinballs: (tid, pc) ->

@@ -109,10 +109,11 @@ class TestMinimizedPinball:
         # lenient follower must still drive a complete run.
         runs = [list(run) for run in pinball.schedule]
         mutant = runs[:max(1, len(runs) // 2)] + [[99, 5]]
-        from repro.analysis.hunt import hunt_context, _execute
+        from repro.analysis.hunt import hunt_context, _run
         ctx = hunt_context(pinball, program)
-        rerun = _execute(program, PerturbedScheduler(mutant), ctx)
-        assert rerun.total_steps > 0
+        scheduler = PerturbedScheduler(mutant)
+        _run(program, scheduler, ctx)
+        assert scheduler.steps > 0
 
 
 class TestServedHunt:

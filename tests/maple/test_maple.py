@@ -5,7 +5,6 @@ import pytest
 from repro.lang import compile_source
 from repro.maple import (
     ActiveScheduler,
-    ActiveSchedulerWatch,
     InterleavingProfiler,
     IRoot,
     MemAccess,
@@ -112,15 +111,15 @@ class TestActiveScheduler:
         assert candidates, "profiler predicted nothing to force"
         exposed = False
         for iroot in candidates:
-            watch = ActiveSchedulerWatch(iroot)
-            scheduler = ActiveScheduler(watch, give_up_budget=5_000)
-            machine = Machine(program, scheduler=scheduler, tools=[watch])
+            scheduler = ActiveScheduler(iroot, give_up_budget=5_000)
+            machine = Machine(program, scheduler=scheduler)
             machine.run(max_steps=100_000)
             # Success: either the full iRoot was realized, or forcing its
             # first access already tripped the symptom (the failure stops
             # the run before the held second access can retire).
-            if watch.realized or (machine.failure is not None
-                                  and watch.first_done_by is not None):
+            if scheduler.realized or (machine.failure is not None
+                                      and scheduler.first_done_by
+                                      is not None):
                 exposed = True
         assert exposed
 
@@ -131,9 +130,8 @@ class TestActiveScheduler:
         iroot = IRoot(MemAccess(pc=10_000, is_write=True),
                       MemAccess(pc=program.functions["main"].entry,
                                 is_write=False))
-        watch = ActiveSchedulerWatch(iroot)
-        scheduler = ActiveScheduler(watch, give_up_budget=50)
-        machine = Machine(program, scheduler=scheduler, tools=[watch])
+        scheduler = ActiveScheduler(iroot, give_up_budget=50)
+        machine = Machine(program, scheduler=scheduler)
         result = machine.run(max_steps=100_000)
         assert machine.finished or result.reason in ("exit", "done")
 
