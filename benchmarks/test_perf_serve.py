@@ -13,6 +13,13 @@ service adds over the single-process CLI:
 * **Session residency** — the same repeated query against a 1-worker
   pool with the index LRU enabled (hot: answered from the resident
   session's memoized DDG) vs disabled (cold: rebuild per query).
+* **Large-slice render** — on a cycle-size recording (blackscholes, 150
+  units, 4 threads; about 5*10^4 steps), the p90 slice over the final
+  instance of each (thread, line): the hot ``WorkerPool.call`` median,
+  and in process the served path (``slice_payload_bytes``, its pickle
+  round trip and the node's splice) against the reference path
+  (``slice_payload``, its pickle round trip and ``encode_message``),
+  timed in alternating pairs.
 
 Every timed phase starts from the same empty index cache (the store's
 ``indexes/`` blobs), so the 4-worker phase builds what the 1-worker
@@ -25,7 +32,8 @@ sections stay obs-free.  Results go to
 the acceptance bars:
 
 * 4-worker closed-loop throughput ≥ 2× the 1-worker pool;
-* hot (LRU) per-query cost ≥ 5× cheaper than cold rebuilds.
+* hot (LRU) per-query cost ≥ 5× cheaper than cold rebuilds;
+* the served render path costs at most a third of the reference path.
 
 Set ``REPRO_PERF_SMOKE=1`` (CI) for a reduced-size run that checks the
 machinery and writes the JSON but skips the ratio assertions — shared
@@ -41,14 +49,17 @@ from __future__ import annotations
 import gc
 import json
 import os
+import pickle
 import shutil
+import statistics
 import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, List
 
 from repro.pinplay import RegionSpec, record_region
-from repro.serve import PinballStore, WorkerPool
+from repro.serve import PinballStore, WorkerPool, rpc
+from repro.serve.sessions import slice_payload, slice_payload_bytes
 from repro.slicing import SlicingSession
 from repro.vm import RandomScheduler
 from repro.workloads import get_parsec, get_specomp
@@ -68,6 +79,8 @@ if SMOKE:
     CLIENTS = 4
     HOT_QUERIES = 6
     KERNELS = [("parsec", "blackscholes", {"units": 20, "nthreads": 2})]
+    LARGE = {"units": 20, "nthreads": 2}
+    RENDER_REPEATS = 3
 else:
     RECORDINGS = 20
     CLIENTS = 8
@@ -78,6 +91,8 @@ else:
         ("specomp", "ammp", {"units": 80}),
         ("specomp", "mgrid", {"units": 60}),
     ]
+    LARGE = {"units": 150, "nthreads": 4}
+    RENDER_REPEATS = 9
 
 WORKER_COUNTS = (1, 4)
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -283,12 +298,106 @@ def _bench_session_cache(root: str, requests: List[dict]) -> List[dict]:
     return rows
 
 
+def _median_ms(fn, repeats: int) -> float:
+    samples = []
+    with _quiesced():
+        for _ in range(repeats):
+            started = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - started)
+    return statistics.median(samples) * 1000.0
+
+
+def _paired_ms(first, second, repeats: int):
+    """Median ms of each of two calls timed in alternating pairs, and the
+    median of the per-pair ratios first/second (robust to the machine's
+    speed drifting between the two sides)."""
+    times = ([], [])
+    ratios = []
+    with _quiesced():
+        for index in range(repeats):
+            order = (0, 1) if index % 2 else (1, 0)
+            for side in order:
+                started = time.perf_counter()
+                (first, second)[side]()
+                times[side].append(time.perf_counter() - started)
+            ratios.append(times[0][-1] / times[1][-1])
+    return (statistics.median(times[0]) * 1000.0,
+            statistics.median(times[1]) * 1000.0,
+            statistics.median(ratios))
+
+
+def _bench_large_slice(root: str) -> dict:
+    """Phase 3: one large slice through the pool, and its render paths
+    side by side in process."""
+    from repro.lang import compile_source
+
+    source = get_parsec("blackscholes").source(**LARGE)
+    program = compile_source(source, name="blackscholes-large")
+    pinball = record_region(program,
+                            RandomScheduler(seed=1, switch_prob=0.05),
+                            RegionSpec())
+    session = SlicingSession(pinball, program)
+    lines = sorted({instr.line for instr in program.instructions
+                    if instr.line is not None})
+    criteria = set()
+    for line in lines:
+        for tid in range(LARGE["nthreads"] + 1):
+            try:
+                criteria.add(session.last_instance_at_line(line, tid=tid))
+            except (LookupError, ValueError):
+                continue
+    sized = sorted((len(session.slice_for(c)), c) for c in criteria)
+    nodes, criterion = sized[int(0.9 * (len(sized) - 1))]
+    dslice = session.slice_for(criterion)
+
+    def served():
+        rendered = pickle.loads(pickle.dumps(slice_payload_bytes(dslice)))
+        return rpc.encode_message(rpc.make_response(1, rendered))
+
+    def reference():
+        payload = pickle.loads(pickle.dumps(slice_payload(session, dslice)))
+        return rpc.encode_message(rpc.make_response(1, payload))
+
+    line = served()
+    assert line == reference()
+    served_ms, reference_ms, ratio = _paired_ms(served, reference,
+                                                RENDER_REPEATS)
+
+    store = PinballStore(root)
+    source_sha = store.put_source(source, program.name, tags=("bench",))
+    key = store.put_pinball(pinball, tags=("bench",),
+                            meta={"source_sha": source_sha,
+                                  "program_name": program.name})
+    request = {"pinball": key, "source": source_sha,
+               "program_name": program.name, "instance": list(criterion)}
+    with WorkerPool(root, workers=1, default_timeout=600) as pool:
+        pool.call("slice", dict(request), key=key, timeout=600)
+        pool_ms = _median_ms(
+            lambda: pool.call("slice", dict(request), key=key, timeout=600),
+            RENDER_REPEATS)
+    return {
+        "phase": "large_slice",
+        "kernel": dict(LARGE, name="blackscholes"),
+        "steps": pinball.total_steps,
+        "nodes": nodes,
+        "edges": dslice.stats["edges"],
+        "line_bytes": len(line),
+        "repeats": RENDER_REPEATS,
+        "pool_call_ms": pool_ms,
+        "served_render_ms": served_ms,
+        "reference_render_ms": reference_ms,
+        "render_ratio": ratio,
+    }
+
+
 def test_perf_serve(tmp_path):
     root = str(tmp_path / "store")
     requests = _build_corpus(root)
 
     throughput = _bench_throughput(root, requests)
     cache = _bench_session_cache(root, requests)
+    large = _bench_large_slice(root)
 
     by_workers = {row["workers"]: row for row in throughput}
     by_mode = {row["mode"]: row for row in cache}
@@ -305,7 +414,7 @@ def test_perf_serve(tmp_path):
         "cpus": CPUS,
         "recordings": RECORDINGS,
         "clients": CLIENTS,
-        "phases": throughput + cache,
+        "phases": throughput + cache + [large],
         "speedups": speedups,
     }
     path = os.path.abspath(BENCH_PATH)
@@ -316,6 +425,11 @@ def test_perf_serve(tmp_path):
           "resident session %.2fx per query"
           % (speedups["throughput_4_vs_1_workers"],
              speedups["hot_vs_cold_session"]))
+    print("large slice (%d nodes, %d-byte line): pool call %.1f ms, "
+          "render path %.1f ms vs reference %.1f ms (%.2fx)"
+          % (large["nodes"], large["line_bytes"], large["pool_call_ms"],
+             large["served_render_ms"], large["reference_render_ms"],
+             large["render_ratio"]))
     print("wrote %s" % path)
 
     # Session builds are CPU-bound processes: the parallelism bar only
@@ -328,3 +442,8 @@ def test_perf_serve(tmp_path):
         assert speedups["hot_vs_cold_session"] >= 5.0, (
             "resident session only %.2fx over rebuild-per-query "
             "(bar: 5x)" % speedups["hot_vs_cold_session"])
+        assert large["render_ratio"] <= 1 / 3, (
+            "served render path %.1f ms is %.2fx the reference path's "
+            "%.1f ms (median of per-pair ratios; bar: 1/3)"
+            % (large["served_render_ms"], large["render_ratio"],
+               large["reference_render_ms"]))

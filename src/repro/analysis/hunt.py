@@ -16,11 +16,12 @@ repeated in-situ re-execution.  Three stages:
    the recording), so each candidate run is fully deterministic.
 3. **Classify & shrink** — every outcome is classified **crash** (the
    VM failure fired), **wrong-output** (differs from the deterministic
-   round-robin reference), or **benign**.  Each distinct confirmed
-   failure is then greedily minimized — context switches are removed
-   from the exposing schedule while the failure keeps reproducing —
-   and recorded into a *minimized pinball*, with a pre-computed
-   slice report rooted at the failing instruction.
+   round-robin reference), **benign**, or **overrun** (the run did not
+   end within the step cap).  Each distinct confirmed failure is then
+   greedily minimized — context switches are removed from the exposing
+   schedule while the failure keeps reproducing — and recorded into a
+   *minimized pinball*, with a pre-computed slice report rooted at the
+   failing instruction.
 
 Every re-execution (the reference run, each candidate, each
 minimization attempt) is a *bare* run of the region, with no recorder
@@ -29,6 +30,14 @@ schedule off its scheduler's commits.  A minimization attempt forks a
 base machine that ran the current schedule up to where the attempt
 diverges, and runs only the suffix.  One pinball is recorded per
 finding: the final minimized schedule's.
+
+Every re-execution is bounded: ``ctx["step_cap"]`` region steps, a
+multiple of the recording's (:data:`STEP_CAP_FACTOR`, at least
+:data:`STEP_CAP_MIN`).  A schedule that livelocks the guest therefore
+ends as an ``overrun`` row — counted, never deduped into a finding,
+minimized or recorded — instead of hanging the hunt.  A capped
+reference run leaves ``reference_output`` None.  The fast-forward to a
+region's ``skip`` is not bounded.
 
 Everything is deterministic by construction: candidates are generated
 in sorted order, evaluated independently, and merged by candidate id —
@@ -68,6 +77,10 @@ __all__ = ["HuntResult", "PerturbedScheduler", "confirm", "evaluate",
 SEED_SWITCH_PROB = 0.3
 #: Active-scheduler delay budget per forced candidate.
 GIVE_UP_BUDGET = 4_000
+#: Step cap of every re-execution, as a multiple of the recording's steps.
+STEP_CAP_FACTOR = 8
+#: Floor for the step cap (tiny recordings still need room to finish).
+STEP_CAP_MIN = 50_000
 
 
 class PerturbedScheduler(Scheduler):
@@ -197,11 +210,12 @@ def hunt_context(pinball: Pinball, program: Program,
         "skip": int(meta.get("skip", 0) or 0),
         "length": meta.get("length"),
         "heap_poison": bool(memory_snap.get("poison", False)),
+        "step_cap": max(STEP_CAP_MIN, STEP_CAP_FACTOR * pinball.total_steps),
         "recorded_runs": [list(run) for run in pinball.schedule],
         "reference_output": None,
     }
-    failure, output = _run(program, RoundRobinScheduler(), ctx)
-    if failure is None:
+    failure, output, overrun = _run(program, RoundRobinScheduler(), ctx)
+    if failure is None and not overrun:
         ctx["reference_output"] = output
     return ctx
 
@@ -222,16 +236,20 @@ def _enter(program: Program, scheduler: Scheduler, ctx: dict) -> Machine:
     return machine
 
 
-def _finish(machine: Machine, start: int,
-            ctx: dict) -> Tuple[Optional[dict], list]:
-    """Run ``machine`` on to the region's end: its failure (or None) and
-    its output past ``start``, the output's length at region start."""
-    run_region(machine, _region(ctx))
-    return machine.failure, machine.output[start:]
+def _finish(machine: Machine, start: int, ctx: dict,
+            done: int = 0) -> Tuple[Optional[dict], list, bool]:
+    """Run ``machine``, ``done`` steps into the region, on to the
+    region's end or the step cap: its failure (or None), its output past
+    ``start`` (the output's length at region start), and whether the cap
+    cut it short."""
+    cap = ctx.get("step_cap")
+    ended = run_region(machine, _region(ctx),
+                       None if cap is None else max(0, cap - done))
+    return machine.failure, machine.output[start:], ended == "step_cap"
 
 
 def _run(program: Program, scheduler: Scheduler,
-         ctx: dict) -> Tuple[Optional[dict], list]:
+         ctx: dict) -> Tuple[Optional[dict], list, bool]:
     """One bare re-execution of the hunted region (see :func:`_finish`)."""
     machine = _enter(program, scheduler, ctx)
     return _finish(machine, len(machine.output), ctx)
@@ -332,9 +350,13 @@ def _scheduler_for(candidate: dict, ctx: dict) -> Scheduler:
     return ActiveScheduler(iroot, give_up_budget=GIVE_UP_BUDGET)
 
 
-def _classify(failure: Optional[dict], output: Sequence, ctx: dict) -> str:
+def _classify(failure: Optional[dict], output: Sequence, ctx: dict,
+              overrun: bool = False) -> str:
     """The outcome of a region run that ended with ``failure`` (or
-    None) and printed ``output`` since region start."""
+    None) and printed ``output`` since region start; ``overrun`` when
+    the step cap cut it short."""
+    if overrun:
+        return "overrun"
     if failure:
         return "crash"
     reference = ctx.get("reference_output")
@@ -357,12 +379,13 @@ def evaluate(program: Program, candidates: Sequence[dict],
         with OBS.span("hunt.candidate_run"):
             machine = _enter(program, scheduler, ctx)
             scheduler.schedule = ScheduleRecorder()   # region steps only
-            failure, output = _finish(machine, len(machine.output), ctx)
+            failure, output, overrun = _finish(machine, len(machine.output),
+                                               ctx)
         del machine
-        outcome = _classify(failure, output, ctx)
+        outcome = _classify(failure, output, ctx, overrun)
         row = {"cid": candidate["cid"], "outcome": outcome,
                "failure": failure, "output": output}
-        if outcome != "benign":
+        if outcome in ("crash", "wrong-output"):
             row["schedule_runs"] = [list(run)
                                     for run in scheduler.schedule.runs]
         rows.append(row)
@@ -373,10 +396,12 @@ def evaluate(program: Program, candidates: Sequence[dict],
 
 
 def _reproduces(failure: Optional[dict], output: Sequence, outcome: str,
-                expected: Optional[dict], ctx: dict) -> bool:
-    """Does a run ending with ``failure``/``output`` show ``outcome``
-    (for a crash: with ``expected``'s failure code)?"""
-    got = _classify(failure, output, ctx)
+                expected: Optional[dict], ctx: dict,
+                overrun: bool = False) -> bool:
+    """Does a run ending with ``failure``/``output`` (or cut short by the
+    step cap) show ``outcome`` (for a crash: with ``expected``'s failure
+    code)?"""
+    got = _classify(failure, output, ctx, overrun)
     if outcome == "crash":
         return (got == "crash" and expected is not None
                 and failure.get("code") == expected.get("code"))
@@ -460,11 +485,13 @@ def minimize_schedule(program: Program, runs, outcome: str,
                         scheduler = base_scheduler.follow(merged)
                         reused += base_scheduler.steps
                         ran = _finish(_fork(program, base, scheduler),
-                                      base_start, ctx)
+                                      base_start, ctx, scheduler.steps)
                 if ran is None:
                     scheduler = PerturbedScheduler(merged)
                     ran = _run(program, scheduler, ctx)
-                if not _reproduces(*ran, outcome, failure, ctx):
+                got_failure, got_output, overrun = ran
+                if not _reproduces(got_failure, got_output, outcome, failure,
+                                   ctx, overrun):
                     index += 1
                     continue
                 current = merged
@@ -557,7 +584,7 @@ def dedupe_rows(candidates: Sequence[dict],
     seen: set = set()
     out: List[Tuple[dict, dict]] = []
     for row in rows:
-        if row["outcome"] == "benign":
+        if row["outcome"] not in ("crash", "wrong-output"):
             continue
         signature = _signature(row)
         if signature in seen:
@@ -576,6 +603,7 @@ class HuntResult:
     races: List[RaceFinding] = field(default_factory=list)
     candidates_tried: int = 0
     benign: int = 0
+    overrun: int = 0
 
     @property
     def confirmed(self) -> bool:
@@ -585,7 +613,7 @@ class HuntResult:
         """The shared report-schema envelope (kind ``hunt``)."""
         return hunt_report_payload(self.findings, races=self.races,
                                    candidates_tried=self.candidates_tried,
-                                   benign=self.benign)
+                                   benign=self.benign, overrun=self.overrun)
 
 
 def hunt(pinball: Pinball, program: Program,
@@ -610,7 +638,8 @@ def hunt(pinball: Pinball, program: Program,
         result = HuntResult(
             races=[RaceFinding.from_race(race, program) for race in races],
             candidates_tried=len(rows),
-            benign=sum(1 for row in rows if row["outcome"] == "benign"))
+            benign=sum(1 for row in rows if row["outcome"] == "benign"),
+            overrun=sum(1 for row in rows if row["outcome"] == "overrun"))
         for candidate, row in dedupe_rows(candidates, rows):
             finding, minimized = confirm(
                 program, candidate, row, ctx, races=result.races,

@@ -41,8 +41,10 @@ SCHEMA_VERSION = 1
 #: Envelope kinds this version defines.
 REPORT_KINDS = ("races", "hunt", "maple")
 
-#: Hunt outcome classes (see EXPERIMENTS.md, "Bug firehose").
-HUNT_OUTCOMES = ("crash", "wrong-output", "benign")
+#: Hunt outcome classes (see EXPERIMENTS.md, "Bug firehose").  Findings
+#: are crash or wrong-output; a hunt report counts its ``benign`` rows and
+#: its ``overrun`` rows (runs the step cap cut short, never minimized).
+HUNT_OUTCOMES = ("crash", "wrong-output", "benign", "overrun")
 
 
 @dataclass(frozen=True)
@@ -251,12 +253,15 @@ def hunt_report_payload(findings: Sequence[HuntFinding],
                         races: Sequence[RaceFinding] = (),
                         candidates_tried: int = 0,
                         benign: int = 0,
+                        overrun: int = 0,
                         **extra) -> dict:
-    """Hunt findings (confirmed bugs) under the shared schema."""
+    """Hunt findings (confirmed bugs) under the shared schema, with the
+    counts of candidates tried, benign and overrun."""
     payload = report_envelope(
         "hunt", findings,
         candidates_tried=candidates_tried,
         benign=benign,
+        overrun=overrun,
         race_findings=[r.to_payload() for r in races],
         **extra)
     return payload

@@ -321,9 +321,10 @@ def cmd_hunt(args) -> int:
                     finding.slice_report.instance_count,
                     ",".join(str(l) for l in
                              sorted(finding.slice_report.lines)[:12])))
-    print("[hunt: %d candidates, %d benign, %d confirmed finding(s), "
-          "%d race(s)]" % (result.candidates_tried, result.benign,
-                           len(result.findings), len(result.races)),
+    print("[hunt: %d candidates, %d benign, %d overrun, %d confirmed "
+          "finding(s), %d race(s)]"
+          % (result.candidates_tried, result.benign, result.overrun,
+             len(result.findings), len(result.races)),
           file=sys.stderr)
     return 2 if result.findings else 0
 
@@ -604,11 +605,11 @@ def _print_client_result(verb: str, result) -> None:
             if finding.get("minimized_key"):
                 print("  minimized pinball stored as %s"
                       % finding["minimized_key"])
-        print("[hunt: %d candidates, %d benign, %d confirmed finding(s), "
-              "%d race(s)]" % (result.get("candidates_tried", 0),
-                               result.get("benign", 0),
-                               result.get("finding_count", 0),
-                               len(result.get("race_findings", []))),
+        print("[hunt: %d candidates, %d benign, %d overrun, %d confirmed "
+              "finding(s), %d race(s)]"
+              % (result.get("candidates_tried", 0), result.get("benign", 0),
+                 result.get("overrun", 0), result.get("finding_count", 0),
+                 len(result.get("race_findings", []))),
               file=sys.stderr)
         return
     if verb == "replay":

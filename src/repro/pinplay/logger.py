@@ -325,24 +325,32 @@ def enter_region(machine: Machine, region: RegionSpec) -> None:
     machine.reset_counters()
 
 
-def run_region(machine: Machine, region: RegionSpec) -> str:
+def run_region(machine: Machine, region: RegionSpec,
+               max_steps: Optional[int] = None) -> str:
     """Run ``machine``, already inside ``region``, to the region's end:
     ``region.length`` main-thread instructions, the main thread's
-    finish, a failure or program end; returns which (``end_reason``)."""
+    finish, a failure or program end; returns which (``end_reason``).
+    With ``max_steps``, a run that has not ended after that many steps
+    stops there and returns ``"step_cap"``."""
     main = machine.threads[MAIN_TID]
+    steps = 0
     while True:
         if machine.finished:
             return ("failure" if machine.failure is not None
                     else "program_end")
-        if region.length is None:
-            machine.run()
-            continue
-        remaining = region.length - main.instr_count
-        if remaining <= 0:
-            return "length_reached"
-        if main.status == ThreadStatus.FINISHED:
-            return "main_finished"
-        machine.run(max_steps=remaining)
+        budget = None
+        if region.length is not None:
+            budget = region.length - main.instr_count
+            if budget <= 0:
+                return "length_reached"
+            if main.status == ThreadStatus.FINISHED:
+                return "main_finished"
+        if max_steps is not None:
+            if steps >= max_steps:
+                return "step_cap"
+            if budget is None or budget > max_steps - steps:
+                budget = max_steps - steps
+        steps += machine.run(max_steps=budget).steps
 
 
 def record_region(program: Program,

@@ -94,7 +94,16 @@ def make_error(req_id, code: int, message: str, data=None) -> dict:
 
 
 def encode_message(message: dict) -> bytes:
-    """One wire frame: compact JSON + newline."""
+    """One wire frame: compact JSON + newline.
+
+    A response whose ``result`` is already-encoded bytes (a rendered
+    slice) is spliced in verbatim: the frame equals the sorted-key
+    encoding of the same response with the result decoded.
+    """
+    result = message.get("result")
+    if isinstance(result, bytes):
+        return b"".join((b'{"id":', json.dumps(message["id"]).encode(),
+                         b',"jsonrpc":"2.0","result":', result, b"}\n"))
     return (json.dumps(message, separators=(",", ":"), sort_keys=True)
             .encode("utf-8") + b"\n")
 

@@ -309,12 +309,14 @@ class DebugServer:
         return await self._pool_call("replay", worker_params,
                                      key=worker_params["pinball"])
 
-    async def _rpc_slice(self, params: dict) -> dict:
+    async def _rpc_slice(self, params: dict) -> dict | bytes:
         worker_params = self._recording_params(params)
         result = await self._pool_call("slice", worker_params,
                                        key=worker_params["pinball"])
-        raw = result.pop("slice_pinball_raw", None)
-        if raw is not None:
+        # Without a slice pinball the result is the encoded payload,
+        # which the response line carries as it came.
+        if worker_params.get("slice_pinball"):
+            raw = result.pop("slice_pinball_raw")
             slice_pb = Pinball.from_bytes(raw, source="<slice>")
             sha = self.store.put_pinball(
                 slice_pb, tags=params.get("tags", ()),
@@ -407,6 +409,7 @@ class DebugServer:
                    for item in scanned["races"]],
             candidates_tried=len(rows),
             benign=sum(1 for row in rows if row["outcome"] == "benign"),
+            overrun=sum(1 for row in rows if row["outcome"] == "overrun"),
             minimized_keys=minimized_keys)
 
     # -- store verbs -------------------------------------------------------

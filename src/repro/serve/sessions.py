@@ -21,13 +21,18 @@ to a full build (cache-miss semantics, counted separately).
 Also home to the canonical wire renderings (:func:`slice_payload`,
 :func:`race_payload`, :func:`replay_payload`): the worker pool and the
 in-process differential tests share these functions, which is what makes
-"served result == direct result" a byte-for-byte comparison.
+"served result == direct result" a byte-for-byte comparison.  A served
+slice travels as :func:`slice_payload_bytes`, the encoded
+:func:`slice_payload` rendered once in the worker; the node splices those
+bytes into its response line.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from collections import OrderedDict
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Optional, Tuple
 
 from repro import config
@@ -289,20 +294,25 @@ def slice_locations(session: SlicingSession, params: dict):
     return None
 
 
+def _statement_rows(statements) -> list:
+    return sorted(([func, line] for func, line in statements),
+                  key=lambda fl: (fl[0] or "", fl[1] or 0))
+
+
 def slice_payload(session: SlicingSession, dslice: DynamicSlice) -> dict:
     """Deterministic JSON rendering of a computed slice.
 
     Sorted nodes/edges and explicit unresolved count: two independently
     computed equal slices render to identical JSON bytes, which is the
-    contract the differential suite checks served results against.  The
-    rows come straight from the slice's columns: no node or edge object
-    is built.
+    contract the differential suite checks served results against.
+
+    This is the reference rendering: the served ``slice`` verb answers
+    with :func:`slice_payload_bytes`, and the differentials and
+    perfbench's served check compare those bytes against this dict,
+    encoded.
     """
     nodes = sorted(dslice.node_rows())
     edges = sorted(dslice.edge_rows())
-    statements = sorted(
-        ([func, line] for func, line in dslice.source_statements()),
-        key=lambda fl: (fl[0] or "", fl[1] or 0))
     return {
         "criterion": list(dslice.criterion),
         "node_count": len(nodes),
@@ -310,8 +320,77 @@ def slice_payload(session: SlicingSession, dslice: DynamicSlice) -> dict:
         "nodes": nodes,
         "edges": edges,
         "unresolved_locations": dslice.stats.get("unresolved_locations", 0),
-        "source_statements": statements,
+        "source_statements": _statement_rows(dslice.source_statements()),
     }
+
+
+#: Compact, sorted-key JSON: how the wire encodes a result.
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+def slice_payload_bytes(dslice: DynamicSlice) -> bytes:
+    """:func:`slice_payload` as the wire encodes it, rendered once.
+
+    For a column-backed slice the JSON text is written in one pass over
+    the slice's columns: nodes sorted by (tid, tindex), edges by
+    (consumer, producer, kind, location) with the nodes' ranks standing
+    for the instances.  Within one render, each pc's node text and each
+    location's edge text is built once, with json's own encoders.  No
+    row list, :class:`SliceNode` or edge tuple is built.  An explicit
+    slice encodes its payload.
+    """
+    members = dslice._members
+    if members is None:
+        return _encode(slice_payload(None, dslice)).encode("utf-8")
+    cols = dslice._columns
+    tids = cols.tids
+    tindexes = cols.tindexes
+    pcs = cols.pcs
+    statements = cols.statements
+    rank: Dict[int, int] = {}
+    insts = []                   # "[tid,tindex]" per node, in node order
+    nodes = []
+    tails: Dict[int, str] = {}   # pc -> ",pc,line,func]"
+    threads = 0
+    last_tid = None
+    for tid, tindex, g in sorted([(tids[g], tindexes[g], g)
+                                  for g in members]):
+        if tid != last_tid:
+            threads += 1
+            last_tid = tid
+        rank[g] = len(insts)
+        inst = f"[{tid},{tindex}"
+        insts.append(inst + "]")
+        pc = pcs[g]
+        tail = tails.get(pc)
+        if tail is None:
+            func, line = statements[pc]
+            tail = tails[pc] = ",%d,%s,%s]" % (
+                pc, "null" if line is None else "%d" % line,
+                "null" if func is None else _quote(func))
+        nodes.append(inst + tail)
+    # A control edge sorts with an empty location, so no None is ever
+    # compared with a location tuple.
+    edges = [(rank[g], rank[p], "control", ()) if loc is None
+             else (rank[g], rank[p], "data", loc)
+             for g, p, loc in dslice._edge_positions()]
+    edges.sort()
+    ends: Dict[tuple, str] = {}  # location -> ',kind,location]'
+    rendered = []
+    for c, p, kind, loc in edges:
+        end = ends.get(loc)
+        if end is None:
+            end = ends[loc] = ',"%s",%s]' % (
+                kind, _encode(loc) if loc else "null")
+        rendered.append(f"[{insts[c]},{insts[p]}{end}")
+    return ('{"criterion":%s,"edges":[%s],"node_count":%d,"nodes":[%s],'
+            '"source_statements":%s,"thread_count":%d,'
+            '"unresolved_locations":%d}' % (
+                _encode(list(dslice.criterion)), ",".join(rendered),
+                len(nodes), ",".join(nodes),
+                _encode(_statement_rows({statements[pc] for pc in tails})),
+                threads, dslice.stats.get("unresolved_locations", 0),
+            )).encode("utf-8")
 
 
 def race_payload(races, program) -> dict:

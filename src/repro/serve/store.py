@@ -68,6 +68,8 @@ MANIFEST_VERSION = 1
 LOCK_NAME = "manifest.lock"
 INDEX_SUFFIX = ".idx"
 
+_MISSING = object()
+
 
 def _utcnow() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -120,6 +122,8 @@ class PinballStore:
         if create:
             os.makedirs(self.blob_root, exist_ok=True)
         self._entries: Dict[str, StoreEntry] = {}
+        # Set when the in-memory manifest holds a change not yet written.
+        self._dirty = False
         self._load_manifest()
 
     @contextmanager
@@ -188,6 +192,7 @@ class PinballStore:
     def reload(self) -> None:
         """Re-read the manifest from disk (other-process writes)."""
         self._entries = {}
+        self._dirty = False
         self._load_manifest()
 
     def _write_manifest(self) -> None:
@@ -205,7 +210,9 @@ class PinballStore:
         tmp_path = self.manifest_path + ".tmp.%d" % os.getpid()
         try:
             with open(tmp_path, "w") as handle:
-                json.dump(payload, handle, indent=1, sort_keys=True)
+                # Compact: CPython's C encoder runs only without indent.
+                json.dump(payload, handle, separators=(",", ":"),
+                          sort_keys=True)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_path, self.manifest_path)
@@ -215,6 +222,7 @@ class PinballStore:
             except OSError:
                 pass
             raise
+        self._dirty = False
 
     # -- blob addressing ---------------------------------------------------
 
@@ -248,6 +256,7 @@ class PinballStore:
             entry = StoreEntry(sha=sha, kind=kind, size=len(data),
                                stored_size=len(blob), created=_utcnow())
             self._entries[sha] = entry
+            self._dirty = True
             if OBS.enabled:
                 OBS.add("serve.store/bytes_written", len(blob))
         else:
@@ -261,7 +270,8 @@ class PinballStore:
         """Store ``data``; returns ``(sha, deduplicated)``.
 
         Re-putting identical content merges tags/meta into the existing
-        entry and writes no second blob (``deduplicated=True``).
+        entry and writes no second blob (``deduplicated=True``); when
+        that adds nothing, the manifest is not rewritten either.
         """
         with self._locked():
             sha, deduplicated = self._put_blob(data, kind)
@@ -269,9 +279,14 @@ class PinballStore:
             for tag in tags:
                 if tag not in entry.tags:
                     entry.tags.append(tag)
-            if meta:
+                    self._dirty = True
+            if meta and any(entry.meta.get(name, _MISSING) != value
+                            for name, value in meta.items()):
                 entry.meta.update(meta)
-            self._write_manifest()
+                self._dirty = True
+            # A put that changed nothing leaves the manifest untouched.
+            if self._dirty:
+                self._write_manifest()
         if OBS.enabled:
             OBS.inc("serve.store/puts")
         return sha, deduplicated

@@ -24,7 +24,10 @@ Operational semantics, all explicit:
 
 Workers are pure compute over the content-addressed blob space: they
 *read* blobs (by key, no manifest needed) and return picklable payloads;
-every store-manifest write stays in the server process.
+every store-manifest write stays in the server process.  A ``slice``
+without ``slice_pinball`` returns its result already encoded, as bytes
+(:func:`~repro.serve.sessions.slice_payload_bytes`), so the queue carries
+one bytes object and the server never re-encodes it.
 """
 
 from __future__ import annotations
@@ -159,7 +162,7 @@ def _execute(op: str, params: dict, store, manager):
     from repro.pinplay import Pinball, RegionSpec, record_region, replay
     from repro.serve.sessions import (race_payload, replay_payload,
                                       resolve_criterion, slice_locations,
-                                      slice_payload)
+                                      slice_payload, slice_payload_bytes)
     from repro.vm import RandomScheduler, RoundRobinScheduler
 
     if op == "ping":
@@ -305,12 +308,14 @@ def _execute(op: str, params: dict, store, manager):
         criterion = resolve_criterion(session, params)
         dslice = session.slice_for(criterion,
                                    slice_locations(session, params))
+        if not params.get("slice_pinball"):
+            # The result line's bytes: the node splices them verbatim.
+            return slice_payload_bytes(dslice)
+        # The node stores the slice pinball and adds its key: a dict.
         payload = slice_payload(session, dslice)
-        if params.get("slice_pinball"):
-            slice_pb = session.make_slice_pinball(dslice)
-            payload["slice_pinball_raw"] = slice_pb.to_bytes(compress=False)
-            payload["kept_instructions"] = slice_pb.meta.get(
-                "kept_instructions")
+        slice_pb = session.make_slice_pinball(dslice)
+        payload["slice_pinball_raw"] = slice_pb.to_bytes(compress=False)
+        payload["kept_instructions"] = slice_pb.meta.get("kept_instructions")
         return payload
     raise ValueError("unknown worker op %r" % op)
 

@@ -420,39 +420,12 @@ class DynamicSlice:
             return [[list(consumer), list(producer), kind,
                      list(loc) if loc is not None else None]
                     for consumer, producer, kind, loc in self._edges]
-        cols = self._columns
-        tids = cols.tids
-        tindexes = cols.tindexes
-        rows: List[list] = []
-        append = rows.append
-        if self._rows is None:
-            # Every served slice renders here: one flat loop over the CSR
-            # rows runs about a third faster than through the generator.
-            indptr = cols.indptr
-            preds = cols.preds
-            elocs = cols.elocs
-            locs = cols.locs
-            for g in self._members:
-                lo = indptr[g]
-                hi = indptr[g + 1]
-                if lo == hi:
-                    continue
-                tid = tids[g]
-                tindex = tindexes[g]
-                for e in range(lo, hi):
-                    p = preds[e]
-                    loc = locs[elocs[e]]
-                    append([[tid, tindex], [tids[p], tindexes[p]],
-                            "control" if loc is None else "data",
-                            None if loc is None else list(loc)])
-            rest = self._extra
-        else:
-            rest = self._edge_positions()
-        for g, p, loc in rest:
-            append([[tids[g], tindexes[g]], [tids[p], tindexes[p]],
-                    "control" if loc is None else "data",
-                    None if loc is None else list(loc)])
-        return rows
+        tids = self._columns.tids
+        tindexes = self._columns.tindexes
+        return [[[tids[g], tindexes[g]], [tids[p], tindexes[p]],
+                 "control" if loc is None else "data",
+                 None if loc is None else list(loc)]
+                for g, p, loc in self._edge_positions()]
 
     def to_dict(self) -> dict:
         return {

@@ -27,7 +27,6 @@ from repro.vm.hooks import InstrEvent, SyscallEvent, Tool
 from repro.vm.machine import Machine, MachineSnapshot, RunResult
 from repro.vm.memory import HEAP_POISON, Memory
 from repro.vm.scheduler import (
-    PriorityScheduler,
     RandomScheduler,
     RecordedScheduler,
     RoundRobinScheduler,
@@ -44,7 +43,6 @@ __all__ = [
     "Machine",
     "MachineSnapshot",
     "Memory",
-    "PriorityScheduler",
     "RandomScheduler",
     "RecordedScheduler",
     "ReplayDivergence",

@@ -11,14 +11,12 @@ machine then runs those steps without asking.  Schedulers provided:
   different interleavings, which is how tests shake out races.
 * :class:`RecordedScheduler` — follows the run-length-encoded schedule from
   a pinball; this is what makes replay deterministic.
-* :class:`PriorityScheduler` — strict priorities with dynamic updates; the
-  Maple-style active scheduler uses it to force target interleavings.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.vm.errors import ReplayDivergence
 
@@ -210,28 +208,6 @@ class RecordedScheduler(Scheduler):
     @property
     def exhausted(self) -> bool:
         return self._cur_tid is None
-
-
-class PriorityScheduler(Scheduler):
-    """Strict-priority scheduling with dynamically adjustable priorities.
-
-    Higher number wins; ties broken by lower tid.  The Maple active
-    scheduler manipulates priorities (and an optional per-step callback)
-    to steer execution toward a predicted buggy interleaving.
-    """
-
-    def __init__(self, priorities: Optional[Dict[int, int]] = None,
-                 before_pick: Optional[Callable[[Sequence[int]], None]] = None) -> None:
-        self.priorities: Dict[int, int] = dict(priorities or {})
-        self.before_pick = before_pick
-
-    def set_priority(self, tid: int, priority: int) -> None:
-        self.priorities[tid] = priority
-
-    def pick(self, runnable: Sequence[int], last: Optional[int]) -> int:
-        if self.before_pick is not None:
-            self.before_pick(runnable)
-        return max(runnable, key=lambda tid: (self.priorities.get(tid, 0), -tid))
 
 
 class ScheduleRecorder:

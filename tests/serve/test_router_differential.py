@@ -12,6 +12,7 @@ pinball and the served one must land on the very same key.
 """
 
 import json
+import socket
 
 import pytest
 
@@ -73,7 +74,8 @@ def corpus(tmp_path_factory):
                             serialize_index(session.slicer.ddg,
                                             fingerprint))
         oracle[seed] = {"sha": pinball_sha, "var": var,
-                        "payload": payload, "slice_sha": slice_sha}
+                        "payload": payload, "slice_sha": slice_sha,
+                        "session": session}
     return root, oracle
 
 
@@ -148,3 +150,42 @@ def test_unknown_key_through_the_router_is_typed(corpus, tmp_path):
                 with pytest.raises(rpc.RpcRemoteError) as excinfo:
                     client.slice("0" * 64)
                 assert excinfo.value.code == rpc.NOT_FOUND
+
+
+def _raw_line(port: int, method: str, params: dict, req_id) -> bytes:
+    with socket.create_connection(("127.0.0.1", port), timeout=120) as sock:
+        with sock.makefile("rwb") as stream:
+            stream.write(rpc.encode_message(
+                rpc.make_request(method, params, req_id=req_id)))
+            stream.flush()
+            return stream.readline()
+
+
+def test_raw_slice_lines_match_encoded_payload(corpus, tmp_path):
+    """A served slice's response line, straight from the node and through
+    the router, is byte for byte the encoded response around the
+    in-process ``slice_payload``: for int and string ids, under the ddg
+    (cache-loaded on the node), reexec and scan (explicit slice)
+    indexes, with and without a location query."""
+    root, oracle = corpus
+    with node_fleet(root, tmp_path, 1) as (_procs, ports):
+        with running_router(ports) as router:
+            for seed in SEEDS[:2]:
+                info = oracle[seed]
+                session = info["session"]
+                instance = session.last_reads(1)[0]
+                queries = [
+                    ({"global_name": info["var"]}, info["payload"]),
+                    ({"instance": list(instance)},
+                     slice_payload(session, session.slice_for(instance)))]
+                for params, payload in queries:
+                    for index in ("ddg", "reexec", "columnar"):
+                        request = dict(params, key=info["sha"], index=index)
+                        for req_id in (7, "req-7"):
+                            want = rpc.encode_message(
+                                rpc.make_response(req_id, payload))
+                            for port in (ports[0], router.port):
+                                got = _raw_line(port, "slice", request,
+                                                req_id)
+                                assert got == want, (seed, params, index,
+                                                     req_id, port)

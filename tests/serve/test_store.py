@@ -265,6 +265,37 @@ class TestManifest:
         assert entry.meta == {"note": "hi"}
         assert reopened.get(sha) == b"payload"
 
+    def test_noop_reput_leaves_manifest_untouched(self, store, recording):
+        _program, pinball = recording
+        source_sha = store.put_source("int main() { return 0; }", "p",
+                                      tags=("t",))
+        key = store.put_pinball(pinball, tags=("t",),
+                                meta={"source_sha": source_sha})
+        path = store.manifest_path
+        os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+        before = os.stat(path).st_mtime_ns
+        with open(path, "rb") as handle:
+            content = handle.read()
+        # The same source, pinball, tags and meta again: nothing new.
+        assert store.put_source("int main() { return 0; }", "p",
+                                tags=("t",)) == source_sha
+        assert store.put_pinball(pinball, tags=("t",),
+                                 meta={"source_sha": source_sha}) == key
+        assert store.put(b"int main() { return 0; }", kind="source")[1]
+        assert os.stat(path).st_mtime_ns == before
+        with open(path, "rb") as handle:
+            assert handle.read() == content
+
+    def test_reput_with_new_tag_or_meta_persists(self, store):
+        sha, _ = store.put(b"payload", tags=("a",), meta={"note": "hi"})
+        assert store.put(b"payload", tags=("b",)) == (sha, True)
+        assert PinballStore(store.root).entry(sha).tags == ["a", "b"]
+        assert store.put(b"payload", meta={"note": "bye"}) == (sha, True)
+        assert PinballStore(store.root).entry(sha).meta == {"note": "bye"}
+        assert store.put(b"payload", meta={"extra": 1}) == (sha, True)
+        assert PinballStore(store.root).entry(sha).meta == {"note": "bye",
+                                                            "extra": 1}
+
     def test_unreadable_manifest_is_typed_error(self, tmp_path):
         root = tmp_path / "store"
         PinballStore(str(root)).put(b"x")

@@ -7,7 +7,9 @@ when read.  Over the randomized corpora (:mod:`tests.support.progen`,
 flat seeds 0-11 and struct/pointer seeds 0-5) every accessor must answer
 exactly as the explicit slices of the backward-scan oracles do, in the
 explicit form's order (gpos order, then CSR row order, then
-location-query edges last), and serialize to the same bytes.
+location-query edges last), and serialize to the same bytes.  The
+served rendering (``slice_payload_bytes``) of every slice equals the
+scan oracle's encoded ``slice_payload``.
 
 Also here: the accessors that need no nodes build none, and a slice
 kept past its session does not keep the session's trace store or
@@ -21,7 +23,7 @@ import weakref
 import pytest
 
 import repro.slicing.slice as slice_module
-from repro.serve.sessions import slice_payload
+from repro.serve.sessions import slice_payload, slice_payload_bytes
 from repro.slicing import SliceOptions, SlicingSession
 from repro.slicing.ddg import EDGE_CONTROL
 from repro.slicing.ddg_serde import (deserialize_index, options_fingerprint,
@@ -139,6 +141,10 @@ def test_column_slices_match_explicit(kind, seed, tmp_path):
         reference = DynamicSlice(column.criterion, nodes, edges,
                                  column.stats)
         payload = json.dumps(slice_payload(scan, oracle), sort_keys=True)
+        encoded = json.dumps(slice_payload(scan, oracle), sort_keys=True,
+                             separators=(",", ":")).encode("utf-8")
+        # An explicit slice falls back to encoding its payload.
+        assert slice_payload_bytes(oracle) == encoded
 
         answers = {"ddg": column,
                    "frozen": frozen.slice_for(criterion, locations),
@@ -158,6 +164,7 @@ def test_column_slices_match_explicit(kind, seed, tmp_path):
             assert _stats_core(dslice) == _stats_core(oracle), context
             assert json.dumps(slice_payload(ddg, dslice),
                               sort_keys=True) == payload, context
+            assert slice_payload_bytes(dslice) == encoded, context
             for inst in oracle.nodes:
                 assert inst in dslice and inst in dslice.nodes, context
             for outside in [(criterion[0], -1), (criterion[0], 10 ** 9),
@@ -187,6 +194,7 @@ def test_column_slices_match_explicit(kind, seed, tmp_path):
                 assert saved == _saved(reference, tmp_path, "explicit.json")
                 loaded = DynamicSlice.load(str(tmp_path / "column.json"))
                 assert _saved(loaded, tmp_path, "loaded.json") == saved
+                assert slice_payload_bytes(loaded) == encoded, context
                 assert loaded.to_keep() == dslice.to_keep()
                 assert (loaded.source_statements()
                         == dslice.source_statements())
@@ -214,7 +222,8 @@ def test_cheap_accessors_build_no_nodes_or_edges(monkeypatch, index):
              criterion in dslice.nodes, dslice.to_keep(), dslice.threads(),
              dslice.lines(), dslice.source_statements(), dslice.pcs(),
              dslice.instances(), dict(dslice.stats), dslice.node_rows(),
-             dslice.edge_rows(), slice_payload(session, dslice)]
+             dslice.edge_rows(), slice_payload(session, dslice),
+             slice_payload_bytes(dslice)]
     assert all(item is not None for item in cheap)
     assert _CountingNode.built == 0
     assert dslice._nodes is None and dslice._edges is None

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.hunt import PerturbedScheduler
 from repro.vm.errors import ReplayDivergence
 from repro.vm.scheduler import (
-    PriorityScheduler,
     RandomScheduler,
     RecordedScheduler,
     RoundRobinScheduler,
@@ -111,28 +110,6 @@ class TestRecorded:
             sched.commit(1)
 
 
-class TestPriority:
-    def test_highest_priority_wins(self):
-        sched = PriorityScheduler({0: 1, 1: 5, 2: 3})
-        assert drive(sched, lambda s: [0, 1, 2], 3) == [1, 1, 1]
-
-    def test_tie_breaks_by_lower_tid(self):
-        sched = PriorityScheduler({0: 2, 1: 2})
-        assert sched.pick([0, 1], None) == 0
-
-    def test_dynamic_priority_update(self):
-        sched = PriorityScheduler({0: 5, 1: 1})
-        assert sched.pick([0, 1], None) == 0
-        sched.set_priority(1, 10)
-        assert sched.pick([0, 1], 0) == 1
-
-    def test_before_pick_callback(self):
-        seen = []
-        sched = PriorityScheduler(before_pick=lambda r: seen.append(list(r)))
-        sched.pick([3, 4], None)
-        assert seen == [[3, 4]]
-
-
 class TestScheduleRecorder:
     def test_rle_compression(self):
         rec = ScheduleRecorder()
@@ -212,9 +189,8 @@ class TestLease:
             last = outcome
 
     @given(seed=st.integers(0, 50), runnable=_RUNNABLE)
-    def test_random_and_priority_lease_nothing(self, seed, runnable):
-        for scheduler in (RandomScheduler(seed=seed, switch_prob=0.1),
-                          PriorityScheduler({tid: -tid for tid in runnable})):
-            tid = scheduler.pick(runnable, None)
-            scheduler.commit(tid)
-            assert scheduler.lease(tid) == 0
+    def test_random_leases_nothing(self, seed, runnable):
+        scheduler = RandomScheduler(seed=seed, switch_prob=0.1)
+        tid = scheduler.pick(runnable, None)
+        scheduler.commit(tid)
+        assert scheduler.lease(tid) == 0
