@@ -10,8 +10,9 @@ between configurations, who wins — are preserved).
 from __future__ import annotations
 
 import os
+import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.lang import compile_source
 from repro.pinplay import Pinball, RegionSpec, record_region, relog, replay
@@ -88,6 +89,51 @@ def check_parallel_bar(label: str, speedup: float, bar: float, *,
     assert speedup >= bar, (
         "%s only %.2fx (bar: %.1fx on %d CPUs)"
         % (label, speedup, bar, cpus))
+
+
+# ---------------------------------------------------------------------------
+# Closed-loop load (the serve benchmarks)
+# ---------------------------------------------------------------------------
+
+def closed_loop(callers: Sequence[Callable], requests: Sequence
+                ) -> Tuple[float, List[Optional[float]],
+                           List[Tuple[int, Exception]]]:
+    """Send every request once, through one thread per caller.
+
+    Each thread takes the next request of the shared list, passes it to
+    its own caller and takes another only once that call returned or
+    raised, so offered load tracks service capacity.  Returns the wall
+    time, each request's latency in seconds (``None`` where its call
+    raised) and the ``(request index, exception)`` of each call that
+    raised.
+    """
+    latencies: List[Optional[float]] = [None] * len(requests)
+    errors: List[Tuple[int, Exception]] = []
+    cursor = iter(range(len(requests)))
+    cursor_lock = threading.Lock()
+
+    def run(call: Callable) -> None:
+        while True:
+            with cursor_lock:
+                index = next(cursor, None)
+            if index is None:
+                return
+            started = time.perf_counter()
+            try:
+                call(requests[index])
+            except Exception as exc:   # noqa: BLE001 — the caller counts
+                errors.append((index, exc))
+                continue
+            latencies[index] = time.perf_counter() - started
+
+    threads = [threading.Thread(target=run, args=(call,), daemon=True)
+               for call in callers]
+    started = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return time.perf_counter() - started, latencies, errors
 
 
 # ---------------------------------------------------------------------------

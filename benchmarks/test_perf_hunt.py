@@ -50,10 +50,14 @@ ONLINE_BAR = 1.5
 #: Minimum candidate-schedule re-executions per second per worker.
 RATE_BAR = 5.0
 
+#: Alternating (untraced, online) pairs behind the median ratio, in
+#: smoke mode too: the median of 3 short pairs flaps across the bar.
+ONLINE_PAIRS = 15
+
 if SMOKE:
-    UNITS, REPEATS, ONLINE_PAIRS = 60, 3, 3
+    UNITS, REPEATS = 60, 3
 else:
-    UNITS, REPEATS, ONLINE_PAIRS = 120, 5, 15
+    UNITS, REPEATS = 120, 5
 
 #: The fleet workload: a lost-update race — candidates come from real
 #: detected races, like a production hunt.

@@ -1,18 +1,20 @@
 """Fleet load generation — latency/throughput under concurrent clients.
 
-ISSUE 8's scale-out claim has three measurable parts, and this benchmark
-drives all three into ``BENCH_loadgen.json``:
+The service's scale-out claim has three measurable parts, and this
+benchmark drives all three into ``BENCH_loadgen.json``:
 
 * **Warm vs cold session opens** — the persistent index cache turns a
   cold node's session open from O(trace + DDG build) into O(load).
   Measured at the session-construction level (one
   ``SessionManager.open`` per fresh manager); full mode asserts the
   ≥ 5× bar.
-* **Single-node saturation** — the closed-loop load generator
-  (``repro client bench`` machinery) drives a zipf-popular request mix
-  (slice / last_reads / replay, plus a record-bearing mix row) at
-  several client counts against one server; each row carries p50/p99
-  latency and throughput, and the saturation point is the best row.
+* **Single-node saturation** — the shared closed loop
+  (:func:`~benchmarks.harness.closed_loop`, one ``DebugClient``
+  connection per thread) sends a request list drawn up front: a
+  slice / last_reads / replay mix over Zipf-popular recordings, plus a
+  record-bearing mix row, at several client counts against one server.
+  Each row carries p50/p99 latency and throughput, and the saturation
+  point is the best row.
 * **Multi-node scale-out** — the same workload against a router over
   two serve nodes vs a single node.  Node builds are CPU-bound
   processes, so the speedup bar is gated on ≥ 4 usable CPUs via the
@@ -27,28 +29,32 @@ JSON.  Run with::
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
+from bisect import bisect_left
+from collections import Counter
 from contextlib import contextmanager
-from typing import List
+from typing import Dict, List, Sequence, Tuple
 
 from repro import config
 from repro.lang import compile_source
 from repro.pinplay import RegionSpec, record_region
 from repro.serve import (DebugClient, DebugServer, PinballStore,
-                         SessionManager, run_server)
-from repro.serve.loadgen import run_bench
+                         RpcRemoteError, SessionManager, run_server)
 from repro.serve.router import Router, run_router
 from repro.vm import RandomScheduler
 from repro.workloads import get_parsec, get_specomp
 
 from repro.config import perf_smoke
 
-from benchmarks.harness import available_cpus, check_parallel_bar, timed
+from benchmarks.harness import (available_cpus, check_parallel_bar,
+                                closed_loop, timed)
 
 SMOKE = perf_smoke()
 CPUS = available_cpus()
@@ -79,6 +85,13 @@ SRC_DIR = os.path.join(REPO_ROOT, "src")
 
 #: A small source for the record-bearing mix row (records server-side).
 RECORD_SOURCE = get_parsec("blackscholes").source(units=8, nthreads=2)
+
+#: Request mix weights (slice-heavy, the cyclic-debugging shape) and the
+#: Zipf skew of recording popularity: a few hot crash signatures and a
+#: long tail.  perfbench's ``served`` workload draws the same mix.
+MIX = {"slice": 6, "last_reads": 3, "replay": 1}
+RECORD_MIX = dict(MIX, record=1)
+ZIPF_S = 1.1
 
 
 def _kernel_source(index: int):
@@ -168,21 +181,99 @@ def _warm_fleet(port: int, keys: List[tuple]) -> None:
             client.call("build", {"key": sha})
 
 
+def _params(verb: str, key: str) -> dict:
+    if verb == "record":
+        # A plain round-robin recording: benchmark sources generally run
+        # to completion, so a failure-exposing search would come up dry.
+        return {"program": RECORD_SOURCE, "program_name": "loadgen"}
+    if verb == "last_reads":
+        return {"key": key, "count": 5}
+    if verb == "slice":
+        # Kernel recordings usually run to completion (no failure to
+        # default to); the last memory read is defined for every one.
+        return {"key": key, "last_read": True}
+    return {"key": key}
+
+
+def _draw(keys: Sequence[str], ops: int, mix: Dict[str, int],
+          seed: int) -> List[Tuple[str, dict]]:
+    """``ops`` requests: verbs by ``mix`` weight, keys (ranked hot to
+    cold) by Zipf popularity, weights 1/rank^ZIPF_S."""
+    weights = [1.0 / (rank + 1) ** ZIPF_S for rank in range(len(keys))]
+    total = sum(weights)
+    cdf = list(itertools.accumulate(weight / total for weight in weights))
+    verbs = [verb for verb, weight in sorted(mix.items())
+             for _ in range(weight)]
+    rng = random.Random(seed)
+    requests = []
+    for _ in range(ops):
+        verb = rng.choice(verbs)
+        rank = min(bisect_left(cdf, rng.random()), len(keys) - 1)
+        requests.append((verb, _params(verb, keys[rank])))
+    return requests
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, round(q * (len(ordered) - 1)))]
+
+
+def _drive(port: int, keys: Sequence[str], ops: int, clients: int,
+           mix: Dict[str, int], seed: int) -> dict:
+    """``ops`` drawn requests through ``clients`` closed-loop threads,
+    each on its own connection; returns the report row."""
+    requests = _draw(keys, ops, mix, seed)
+    connections = [DebugClient(port=port, timeout=600)
+                   for _ in range(clients)]
+    try:
+        elapsed, latencies, errors = closed_loop(
+            [lambda request, client=client: client.call(*request)
+             for client in connections], requests)
+    finally:
+        for client in connections:
+            client.close()
+    # An error response raises RpcRemoteError; anything else is the
+    # connection failing, and the request went unanswered.
+    unanswered = {index for index, exc in errors
+                  if not isinstance(exc, RpcRemoteError)}
+    by_verb = Counter(verb for index, (verb, _) in enumerate(requests)
+                      if index not in unanswered)
+    ordered = sorted(latency for latency in latencies if latency is not None)
+    completed = ops - len(unanswered)
+    return {
+        "ops": ops,
+        "completed": completed,
+        "clients": clients,
+        "distinct_keys": len(keys),
+        "zipf_s": ZIPF_S,
+        "mix": mix,
+        "elapsed_sec": elapsed,
+        "throughput_ops_per_sec": completed / elapsed,
+        "latency_ms": {
+            "p50": _percentile(ordered, 0.50) * 1000.0,
+            "p99": _percentile(ordered, 0.99) * 1000.0,
+            "mean": (sum(ordered) / len(ordered) * 1000.0) if ordered
+            else 0.0,
+            "max": (ordered[-1] * 1000.0) if ordered else 0.0,
+        },
+        "connection_errors": len(unanswered),
+        "error_responses": len(errors) - len(unanswered),
+        "by_verb": dict(sorted(by_verb.items())),
+    }
+
+
 def _bench_single_node(root: str, keys: List[tuple]) -> List[dict]:
     shas = [sha for sha, _s, _n in keys]
     rows = []
     with _running_server(root) as server:
         _warm_fleet(server.port, keys)
         for clients in CLIENT_COUNTS:
-            report = run_bench("127.0.0.1", server.port, shas, ops=OPS,
-                               clients=clients, seed=17)
+            report = _drive(server.port, shas, OPS, clients, MIX, seed=17)
             rows.append(dict(report, phase="single_node", nodes=1))
         # A record-bearing mix: writes land in the shared store too.
-        report = run_bench(
-            "127.0.0.1", server.port, shas, ops=max(8, OPS // 4),
-            clients=max(CLIENT_COUNTS),
-            mix={"slice": 6, "last_reads": 3, "replay": 1, "record": 1},
-            seed=23, record_source=RECORD_SOURCE)
+        report = _drive(server.port, shas, max(8, OPS // 4),
+                        max(CLIENT_COUNTS), RECORD_MIX, seed=23)
         rows.append(dict(report, phase="record_mix", nodes=1))
     return rows
 
@@ -258,8 +349,7 @@ def _bench_multi_node(root: str, scratch: str,
     for nodes in (1, 2):
         with _routed_fleet(root, scratch, nodes) as router:
             _warm_fleet(router.port, keys)
-            report = run_bench("127.0.0.1", router.port, shas, ops=OPS,
-                               clients=clients, seed=31)
+            report = _drive(router.port, shas, OPS, clients, MIX, seed=31)
             rows.append(dict(report, phase="multi_node", nodes=nodes,
                              router_counts=dict(router.counts)))
     return rows

@@ -52,7 +52,6 @@ import os
 import pickle
 import shutil
 import statistics
-import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, List
@@ -66,7 +65,8 @@ from repro.workloads import get_parsec, get_specomp
 
 from repro.config import perf_smoke
 
-from benchmarks.harness import available_cpus, check_parallel_bar
+from benchmarks.harness import (available_cpus, check_parallel_bar,
+                                closed_loop)
 
 SMOKE = perf_smoke()
 CPUS = available_cpus()
@@ -166,41 +166,20 @@ def _warm_processes(pool: WorkerPool) -> None:
 
 def _closed_loop(pool: WorkerPool, requests: List[dict],
                  clients: int) -> float:
-    """Drive every request once through ``clients`` closed-loop threads.
+    """Drive every request once through ``clients`` closed-loop threads
+    (:func:`~benchmarks.harness.closed_loop`); returns the wall time."""
 
-    Each thread pops the next request, waits for its response, repeats —
-    the classic closed-loop load model; returns the wall time.
-    """
-    cursor = iter(list(requests))
-    cursor_lock = threading.Lock()
-    errors: List[BaseException] = []
+    def call(request: dict) -> None:
+        # No affinity key: every request is a distinct cold recording,
+        # so least-loaded routing measures build parallelism without
+        # hash-bucket imbalance noise.
+        pool.call("slice", dict(request), timeout=600)
 
-    def run():
-        while True:
-            with cursor_lock:
-                request = next(cursor, None)
-            if request is None:
-                return
-            try:
-                # No affinity key: every request is a distinct cold
-                # recording, so least-loaded routing measures build
-                # parallelism without hash-bucket imbalance noise.
-                pool.call("slice", dict(request), timeout=600)
-            except BaseException as exc:   # noqa: BLE001 — report below
-                errors.append(exc)
-                return
-
-    threads = [threading.Thread(target=run, daemon=True)
-               for _ in range(clients)]
     with _quiesced():
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - started
+        elapsed, _latencies, errors = closed_loop([call] * clients,
+                                                  requests)
     if errors:
-        raise errors[0]
+        raise errors[0][1]
     return elapsed
 
 

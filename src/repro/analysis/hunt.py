@@ -36,8 +36,9 @@ multiple of the recording's (:data:`STEP_CAP_FACTOR`, at least
 :data:`STEP_CAP_MIN`).  A schedule that livelocks the guest therefore
 ends as an ``overrun`` row — counted, never deduped into a finding,
 minimized or recorded — instead of hanging the hunt.  A capped
-reference run leaves ``reference_output`` None.  The fast-forward to a
-region's ``skip`` is not bounded.
+reference run leaves ``reference_output`` None.  Maple's profiling runs
+in ``scan`` stop at ``skip`` plus the cap, since they start at machine
+start.  The fast-forward to a region's ``skip`` is not bounded.
 
 Everything is deterministic by construction: candidates are generated
 in sorted order, evaluated independently, and merged by candidate id —
@@ -327,7 +328,8 @@ def scan(pinball: Pinball, program: Program,
                            rand_seed=rand_seed)
         profiler = InterleavingProfiler(program, inputs=ctx["inputs"])
         profiler.run(list(range(profile_seeds)),
-                     switch_prob=SEED_SWITCH_PROB)
+                     switch_prob=SEED_SWITCH_PROB,
+                     max_steps=ctx["skip"] + ctx["step_cap"])
         candidates = make_candidates(races, profiler.predicted(), budget)
     if OBS.enabled:
         OBS.add("hunt.scans", 1)

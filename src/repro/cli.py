@@ -44,6 +44,7 @@ from repro.pinplay import (Pinball, RegionSpec, generate_checkpoints,
 from repro.serve import DebugClient, DebugServer, RpcRemoteError, run_server
 from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT
 from repro.slicing import SliceOptions, SlicingSession
+from repro.slicing.options import SLICE_INDEXES
 from repro.vm import Machine, RandomScheduler, RoundRobinScheduler
 
 
@@ -432,40 +433,6 @@ def cmd_router(args) -> int:
     return 0
 
 
-def _parse_mix(spec: str) -> dict:
-    """``"slice=6,last_reads=3"`` → verb-weight dict (ValueError on junk)."""
-    mix = {}
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        verb, _, weight = chunk.partition("=")
-        if not _ or not verb:
-            raise ValueError("bad mix entry %r (want verb=weight)" % chunk)
-        mix[verb.strip()] = int(weight)
-    if not mix:
-        raise ValueError("empty mix %r" % spec)
-    return mix
-
-
-def cmd_client_bench(args) -> int:
-    """``repro client bench``: closed-loop load generation."""
-    from repro.serve.loadgen import run_bench
-    with _client_connect(args) as client:
-        listing = client.list(kind="pinball", tag=args.tag)
-    keys = [entry["sha"] for entry in listing.get("entries", [])]
-    mix = _parse_mix(args.mix) if args.mix else None
-    record_source = None
-    if args.record_program:
-        with open(args.record_program) as handle:
-            record_source = handle.read()
-    report = run_bench(args.host, args.port, keys, ops=args.ops,
-                       clients=args.clients, mix=mix, zipf_s=args.zipf,
-                       seed=args.seed, record_source=record_source)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
-
-
 def _client_connect(args) -> DebugClient:
     return DebugClient(host=args.host, port=args.port, timeout=args.timeout)
 
@@ -473,10 +440,6 @@ def _client_connect(args) -> DebugClient:
 def cmd_client(args) -> int:
     """``repro client``: one scripted RPC against a running service."""
     verb = args.verb
-    if verb == "bench":
-        # The load generator opens its own asyncio connections; only the
-        # key listing goes through the one-shot client path below.
-        return cmd_client_bench(args)
     if verb == "call" and args.params:
         # Validate local input before dialing out: bad JSON is a usage
         # error (65), not a network problem.
@@ -709,8 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="disable save/restore pruning")
     sl.add_argument("--no-refine", action="store_true",
                     help="disable indirect-jump CFG refinement")
-    sl.add_argument("--index", choices=("ddg", "columnar", "rows", "reexec"),
-                    default=None,
+    sl.add_argument("--index", choices=SLICE_INDEXES, default=None,
                     help="slice-query engine (default: the build-once DDG "
                          "index, or $REPRO_SLICE_INDEX)")
     sl.add_argument("--json", action="store_true",
@@ -770,8 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     debug.add_argument("--checkpoint-interval", type=int, default=None,
                        help="steps between reverse-debug checkpoints "
                             "(default: $REPRO_CHECKPOINT_INTERVAL or 500)")
-    debug.add_argument("--slice-index", choices=("ddg", "columnar", "rows", "reexec"),
-                       default=None,
+    debug.add_argument("--slice-index", choices=SLICE_INDEXES, default=None,
                        help="slice-query engine for slicing commands")
     debug.set_defaults(func=cmd_debug)
 
@@ -878,8 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="restrict --var/--line resolution to one thread")
     csl.add_argument("--slice-pinball", action="store_true",
                      help="store the relogged slice pinball too")
-    csl.add_argument("--index", choices=("ddg", "columnar", "rows", "reexec"),
-                     default=None)
+    csl.add_argument("--index", choices=SLICE_INDEXES, default=None)
     clr = cverbs.add_parser("last-reads",
                             help="latest memory-reading instances")
     clr.add_argument("key")
@@ -899,24 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     cget = cverbs.add_parser("get", help="download a stored blob")
     cget.add_argument("key")
     cget.add_argument("-o", "--output", required=True)
-    cbench = cverbs.add_parser(
-        "bench", help="closed-loop load generator (zipf-popular keys)")
-    cbench.add_argument("--clients", type=int, default=8,
-                        help="concurrent closed-loop clients")
-    cbench.add_argument("--ops", type=int, default=100,
-                        help="total requests across all clients")
-    cbench.add_argument("--zipf", type=float, default=1.1,
-                        help="zipf skew over key popularity (higher = "
-                             "hotter head)")
-    cbench.add_argument("--seed", type=int, default=0,
-                        help="deterministic request-stream seed")
-    cbench.add_argument("--tag", default=None,
-                        help="bench only stored pinballs with this tag")
-    cbench.add_argument("--mix", default=None, metavar="VERB=W,...",
-                        help="request mix, e.g. slice=6,last_reads=3,"
-                             "replay=1 (the default)")
-    cbench.add_argument("--record-program", default=None, metavar="SRC",
-                        help="MiniC source for a 'record' mix component")
     ccall = cverbs.add_parser("call", help="raw JSON-RPC method call")
     ccall.add_argument("method")
     ccall.add_argument("params", nargs="?", default=None,

@@ -97,10 +97,12 @@ class InterleavingProfiler:
         """Profile under each seed; returns all observed iRoots.
 
         If a run happens to fail naturally, its seed is remembered in
-        :attr:`failing_seed` (no active scheduling needed then).
+        :attr:`failing_seed` (no active scheduling needed then).  Each
+        run stops after ``max_steps`` steps from machine start.
         """
         observed_before = len(self.observed)
         runs = 0
+        steps = 0
         with OBS.span("maple.profile"):
             for seed in seeds:
                 runs += 1
@@ -111,12 +113,13 @@ class InterleavingProfiler:
                                               switch_prob=switch_prob),
                     inputs=self.inputs)
                 tool.attach(machine)
-                machine.run(max_steps=max_steps)
+                steps += machine.run(max_steps=max_steps).steps
                 self.observed.update(tool.observed)
                 if machine.failure is not None and self.failing_seed is None:
                     self.failing_seed = seed
         if OBS.enabled:
             OBS.add("maple.profile_runs", runs)
+            OBS.add("maple.profile_steps", steps)
             OBS.add("maple.iroots_observed",
                     len(self.observed) - observed_before)
         return self.observed

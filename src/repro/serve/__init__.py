@@ -32,9 +32,10 @@ expensive derived state resident and serves concurrent clients:
   health-checks nodes, and retries a request once when a node dies
   mid-call.  Cold nodes warm-start from the store's persistent index
   cache (``<root>/indexes/``, see :mod:`repro.slicing.ddg_serde`).
-* :mod:`repro.serve.loadgen` — the closed-loop load generator behind
-  ``repro client bench``: concurrent clients, zipf-distributed key
-  popularity, p50/p99/throughput reporting.
+
+Load comes from outside the package: perfbench's ``served`` workload
+and ``benchmarks/test_perf_loadgen.py`` drive closed-loop clients over
+the wire.
 
 All four layers report into the observability registry under the
 ``serve`` layer prefix (``serve.requests``, ``serve.cache/{hit,miss}``,
@@ -58,7 +59,6 @@ from repro.serve.rpc import RpcError, RpcRemoteError
 from repro.serve.server import DebugServer, run_server
 from repro.serve.client import DebugClient
 from repro.serve.router import Router, parse_nodes, run_router
-from repro.serve.loadgen import run_bench
 
 __all__ = [
     "DEFAULT_WORKERS",
@@ -77,7 +77,6 @@ __all__ = [
     "WorkerPool",
     "parse_nodes",
     "race_payload",
-    "run_bench",
     "run_router",
     "run_server",
     "slice_payload",

@@ -118,21 +118,7 @@ class SlicingSession:
             self.preprocess_time = prep_span.elapsed
             self.slicer = self._reexec
         else:
-            with OBS.span("slicing.trace") as trace_span:
-                self._collector = TraceCollector(program, self.options)
-                self.machine, self.replay_result = replay(
-                    pinball, program, tools=[self._collector],
-                    verify=False, engine=engine)
-            self.trace_time = trace_span.elapsed
-
-            with OBS.span("slicing.preprocess") as prep_span:
-                self._gtrace = merge_traces(
-                    self._collector.store, pinball.mem_order)
-                self.slicer = BackwardSlicer(
-                    self._gtrace,
-                    verified_restores=self._collector.save_restore.verified,
-                    options=self.options)
-            self.preprocess_time = prep_span.elapsed
+            self.trace_time, self.preprocess_time = self._materialize()
         self.last_slice_time = 0.0
         if OBS.enabled:
             OBS.add("slicing.sessions", 1)
@@ -200,16 +186,27 @@ class SlicingSession:
             self._materialize()
         return self._gtrace
 
-    def _materialize(self) -> None:
-        with OBS.span("slicing.trace"):
+    def _materialize(self) -> Tuple[float, float]:
+        """The traced replay, then the merge into the global trace; a
+        session that answers from them also builds its
+        :class:`BackwardSlicer` in the merge phase.  Returns the two
+        phases' times."""
+        with OBS.span("slicing.trace") as trace_span:
             collector = TraceCollector(self.program, self.options)
             self.machine, self.replay_result = replay(
                 self.pinball, self.program, tools=[collector],
                 verify=False, engine=self.engine)
-        with OBS.span("slicing.preprocess"):
-            self._gtrace = merge_traces(
-                collector.store, self.pinball.mem_order)
+        with OBS.span("slicing.preprocess") as prep_span:
+            self._gtrace = merge_traces(collector.store,
+                                        self.pinball.mem_order,
+                                        source=self.pinball._source)
+            if self._reexec is None and self._frozen is None:
+                self.slicer = BackwardSlicer(
+                    self._gtrace,
+                    verified_restores=collector.save_restore.verified,
+                    options=self.options)
         self._collector = collector
+        return trace_span.elapsed, prep_span.elapsed
 
     def trace_record_count(self) -> int:
         """Retired-instruction count of the region — what a full trace

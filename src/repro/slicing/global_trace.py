@@ -21,16 +21,18 @@ caches, via the store) only the records a consumer actually touches.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Collection, Dict, List, Sequence, Tuple, Union
 
+from repro.pinplay.pinball import Pinball, PinballFormatError
 from repro.slicing.trace import ColumnarTraceStore, TraceRecord, TraceStore
 
 Edge = Tuple[int, int, int, int, int, str]
 
 
-class GlobalTraceError(Exception):
-    """The access-order edges were inconsistent (cyclic) — cannot happen
-    for edges recorded from a real execution."""
+class GlobalTraceError(PinballFormatError):
+    """A pinball's access-order edges (``mem_order``) cannot be merged:
+    an edge is not six fields, comes from a thread with no trace, or the
+    edges form a cycle.  None of these can come from a real execution."""
 
 
 class LazyOrderView:
@@ -130,27 +132,50 @@ class GlobalTrace:
         return True
 
 
-def _build_incoming(edges: Sequence[Edge]) -> Dict[Tuple[int, int],
-                                                   List[Tuple[int, int]]]:
+def build_incoming(edges: Sequence[Edge], threads: Collection[int],
+                   source: str) -> Dict[Tuple[int, int],
+                                        List[Tuple[int, int]]]:
+    """Each edge's *to* instance -> its *from* instances; ``threads``
+    are the tids with a trace.  Every merge of a pinball's ``mem_order``
+    reads it through here."""
     incoming: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for from_tid, from_tindex, to_tid, to_tindex, _addr, _kind in edges:
-        incoming.setdefault((to_tid, to_tindex), []).append(
-            (from_tid, from_tindex))
+    for index, edge in enumerate(edges):
+        try:
+            from_tid, from_tindex, to_tid, to_tindex, _addr, _kind = edge
+            known = from_tid in threads
+            incoming.setdefault((to_tid, to_tindex), []).append(
+                (from_tid, from_tindex))
+        except (TypeError, ValueError):
+            raise GlobalTraceError(
+                "%s: malformed mem_order (edge %d is not six fields: %r)"
+                % (source, index, edge)) from None
+        if not known:
+            raise GlobalTraceError(
+                "%s: malformed mem_order (edge %d comes from thread %r, "
+                "which has no trace)" % (source, index, from_tid))
     return incoming
 
 
+def cycle_error(source: str, cursor: Dict[int, int]) -> GlobalTraceError:
+    return GlobalTraceError(
+        "%s: malformed mem_order (the access-order edges form a cycle; "
+        "remaining cursors: %r)" % (source, cursor))
+
+
 def merge_traces(store: Union[TraceStore, ColumnarTraceStore],
-                 edges: Sequence[Edge]) -> GlobalTrace:
+                 edges: Sequence[Edge],
+                 source: str = Pinball._source) -> GlobalTrace:
     """Topologically merge per-thread traces honoring ``edges``.
 
     Each edge ``(from_tid, from_tindex, to_tid, to_tindex, addr, kind)``
     constrains the *from* instance to precede the *to* instance.
+    Malformed edges raise :class:`GlobalTraceError` naming ``source``,
+    the pinball they were read from.
     """
     if isinstance(store, ColumnarTraceStore):
-        return _merge_columnar(store, edges)
-    incoming = _build_incoming(edges)
-
+        return _merge_columnar(store, edges, source)
     tids = store.threads()
+    incoming = build_incoming(edges, tids, source)
     cursor: Dict[int, int] = {tid: 0 for tid in tids}
     lengths: Dict[int, int] = {tid: store.thread_length(tid) for tid in tids}
     total = sum(lengths.values())
@@ -176,19 +201,16 @@ def merge_traces(store: Union[TraceStore, ColumnarTraceStore],
         else:
             stalled += 1
             if stalled >= len(tids):
-                raise GlobalTraceError(
-                    "access-order edges form a cycle; remaining cursors: %r"
-                    % cursor)
+                raise cycle_error(source, cursor)
         current = (current + 1) % len(tids)
     return GlobalTrace(order, store)
 
 
-def _merge_columnar(store: ColumnarTraceStore,
-                    edges: Sequence[Edge]) -> GlobalTrace:
+def _merge_columnar(store: ColumnarTraceStore, edges: Sequence[Edge],
+                    source: str) -> GlobalTrace:
     """Index-only merge: identical emission order, zero materialization."""
-    incoming = _build_incoming(edges)
-
     tids = store.threads()
+    incoming = build_incoming(edges, tids, source)
     cursor: Dict[int, int] = {tid: 0 for tid in tids}
     lengths: Dict[int, int] = {tid: store.thread_length(tid) for tid in tids}
     total = sum(lengths.values())
@@ -219,9 +241,7 @@ def _merge_columnar(store: ColumnarTraceStore,
         else:
             stalled += 1
             if stalled >= len(tids):
-                raise GlobalTraceError(
-                    "access-order edges form a cycle; remaining cursors: %r"
-                    % cursor)
+                raise cycle_error(source, cursor)
         current = (current + 1) % len(tids)
     return GlobalTrace(LazyOrderView(store, order_tids, order_tindexes),
                        store)

@@ -59,7 +59,7 @@ from repro.obs.registry import OBS
 from repro.pinplay.format_v2 import EmbeddedCheckpoint, capture_state
 from repro.pinplay.pinball import Pinball
 from repro.pinplay.replayer import resume_machine
-from repro.slicing.global_trace import GlobalTraceError
+from repro.slicing.global_trace import build_incoming, cycle_error
 from repro.slicing.options import SliceOptions
 from repro.slicing.save_restore import SaveRestoreDetector
 from repro.slicing.slice import DynamicSlice, SliceColumns
@@ -481,12 +481,8 @@ class ReexecIndex:
         over the scaffold's pc streams — identical emission order, so
         every gpos here equals the materialized pipeline's gpos."""
         pcs = self._pcs
-        incoming: Dict[Instance, list] = {}
-        for edge in self.pinball.mem_order:
-            from_tid, from_tindex, to_tid, to_tindex = (
-                edge[0], edge[1], edge[2], edge[3])
-            incoming.setdefault((to_tid, to_tindex), []).append(
-                (from_tid, from_tindex))
+        source = self.pinball._source
+        incoming = build_incoming(self.pinball.mem_order, pcs, source)
         tids = sorted(pcs)
         cursor = {tid: 0 for tid in tids}
         lengths = {tid: len(pcs[tid]) for tid in tids}
@@ -525,9 +521,7 @@ class ReexecIndex:
             else:
                 stalled += 1
                 if stalled >= len(tids):
-                    raise GlobalTraceError(
-                        "access-order edges form a cycle; remaining "
-                        "cursors: %r" % cursor)
+                    raise cycle_error(source, cursor)
             current = (current + 1) % len(tids)
         self._order_tids = order_tids
         self._order_tindexes = order_tindexes

@@ -18,6 +18,8 @@ Word = Union[int, float]
 #: Sentinel return address: a ``ret`` that pops this terminates the thread.
 EXIT_SENTINEL = -1
 
+_REGISTER_NAMES = frozenset(ALL_REGISTERS)
+
 
 class ThreadStatus:
     RUNNABLE = "runnable"
@@ -110,9 +112,18 @@ class ThreadContext:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "ThreadContext":
+        """The thread ``snap`` describes; a ``ValueError`` if its
+        registers are not exactly the ISA's."""
+        regs = snap["regs"]
+        if regs.keys() != _REGISTER_NAMES:
+            names = set(regs)
+            raise ValueError(
+                "thread %r registers: missing %s, unknown %s"
+                % (snap["tid"], sorted(_REGISTER_NAMES - names),
+                   sorted(names - _REGISTER_NAMES)))
         thread = cls(snap["tid"], snap["pc"], snap["stack_base"])
         thread.status = snap["status"]
-        thread.regs = dict(snap["regs"])
+        thread.regs = dict(regs)
         thread.stack_limit = snap["stack_limit"]
         reason = snap.get("block_reason")
         thread.block_reason = tuple(reason) if reason else None

@@ -16,6 +16,7 @@ from repro.analysis import validate_report
 from repro.analysis.hunt import (STEP_CAP_MIN, dedupe_rows, evaluate, hunt,
                                  hunt_context, scan)
 from repro.lang import compile_source
+from repro.obs import OBS
 from repro.pinplay import RegionSpec, record_region
 from repro.serve import DebugClient, PinballStore
 from repro.vm import Machine, RandomScheduler
@@ -56,6 +57,21 @@ def test_spinning_candidates_end_as_overrun_rows(toggle):
         if row["outcome"] == "overrun":
             assert row["failure"] is None and "schedule_runs" not in row
     assert dedupe_rows(candidates, rows) == []
+
+
+def test_profiling_runs_stop_at_the_step_cap(toggle):
+    _source, program, pinball = toggle
+    saved = OBS.enabled
+    OBS.reset()
+    OBS.enable()
+    try:
+        _races, _candidates, ctx = scan(pinball, program, budget=6,
+                                        profile_seeds=2)
+        steps = OBS.counters()["maple.profile_steps"]
+    finally:
+        OBS.reset()
+        OBS.enabled = saved
+    assert 0 < steps <= 2 * (ctx["skip"] + ctx["step_cap"])
 
 
 def test_capped_reference_run_leaves_no_reference_output(toggle):

@@ -3,7 +3,8 @@ record is a typed error.
 
 The pinball container can be intact (v1 JSON parses, v2 frames pass
 their CRCs) while the machine state inside it is not: a snapshot of the
-wrong shape, a checkpoint body missing a field, a schedule run with a
+wrong shape or with a thread whose registers are not the ISA's, a
+checkpoint body missing a field, a schedule run with a
 non-integer count, or a slice pinball's exclusion record missing a
 field or naming a register outside the ISA.  Whatever touches that
 state — replay, ``resume_machine``, a debugger seek, ``repro replay`` —
@@ -22,9 +23,11 @@ from repro.lang import compile_source
 from repro.pinplay import (EmbeddedCheckpoint, Pinball, PinballFormatError,
                            RegionSpec, record_region, relog, replay,
                            resume_machine)
+from repro.serve import DebugClient, rpc
 from repro.vm import RoundRobinScheduler
 
-from tests.serve.conftest import RACY_SOURCE, record_racy_pinball
+from tests.serve.conftest import (RACY_SOURCE, record_racy_pinball,
+                                  running_server)
 
 SOURCE = """
 int g;
@@ -51,8 +54,25 @@ def recorded():
     return program, pinball
 
 
+def _with_regs(snapshot, edit):
+    """``snapshot`` with ``edit`` applied to its first thread's registers."""
+    threads = [dict(thread, regs=dict(thread["regs"]))
+               for thread in snapshot["threads"]]
+    edit(threads[0]["regs"])
+    return dict(snapshot, threads=threads)
+
+
+def _rename_r3(regs):
+    regs["q3"] = regs.pop("r3")
+
+
 def _snapshot_shapes(snapshot):
-    return {"empty": {}, "list": [], "memory-int": dict(snapshot, memory=5)}
+    return {"empty": {}, "list": [], "memory-int": dict(snapshot, memory=5),
+            "renamed-r3": _with_regs(snapshot, _rename_r3),
+            "no-r3": _with_regs(snapshot, lambda regs: regs.pop("r3"))}
+
+
+SNAPSHOT_SHAPES = ["empty", "list", "memory-int", "renamed-r3", "no-r3"]
 
 
 def _body_shapes(body):
@@ -77,7 +97,7 @@ def _rebuilt(pinball, path, fmt, snapshot=None, body=None):
 
 
 @pytest.mark.parametrize("fmt", ["v1", "v2"])
-@pytest.mark.parametrize("shape", ["empty", "list", "memory-int"])
+@pytest.mark.parametrize("shape", SNAPSHOT_SHAPES)
 def test_malformed_snapshot_replay(recorded, tmp_path, fmt, shape):
     program, pinball = recorded
     path = tmp_path / ("bad-%s.pinball" % shape)
@@ -89,7 +109,7 @@ def test_malformed_snapshot_replay(recorded, tmp_path, fmt, shape):
         replay(bad, program)
 
 
-@pytest.mark.parametrize("shape", ["empty", "list", "memory-int"])
+@pytest.mark.parametrize("shape", SNAPSHOT_SHAPES)
 def test_malformed_snapshot_seek(recorded, tmp_path, shape):
     program, pinball = recorded
     path = tmp_path / ("bad-%s.pinball" % shape)
@@ -137,6 +157,37 @@ def test_cli_replay_of_malformed_snapshot_exits_65(recorded, tmp_path,
     _rebuilt(pinball, path, "v1", snapshot={})
     assert main(["replay", str(source), str(path)]) == 65
     assert "malformed region snapshot" in capsys.readouterr().err
+
+
+def test_cli_replay_of_renamed_register_exits_65(recorded, tmp_path,
+                                                  capsys):
+    _program, pinball = recorded
+    source = tmp_path / "malformed.mc"
+    source.write_text(SOURCE)
+    path = tmp_path / "bad.pinball"
+    _rebuilt(pinball, path, "v1",
+             snapshot=_snapshot_shapes(pinball.snapshot)["renamed-r3"])
+    assert main(["replay", str(source), str(path)]) == 65
+    err = capsys.readouterr().err
+    assert "malformed region snapshot" in err and "'r3'" in err
+
+
+@pytest.mark.parametrize("fmt,shape", [("v1", "renamed-r3"),
+                                       ("v2", "no-r3")])
+def test_served_replay_of_wrong_registers_is_bad_pinball(
+        recorded, tmp_path, fmt, shape):
+    program, pinball = recorded
+    path = tmp_path / "bad.pinball"
+    _rebuilt(pinball, path, fmt,
+             snapshot=_snapshot_shapes(pinball.snapshot)[shape])
+    with running_server(tmp_path / "store", workers=1) as server:
+        with DebugClient(port=server.port, timeout=60) as client:
+            key = client.put_recording(SOURCE, path.read_bytes(),
+                                       program_name=program.name)["key"]
+            with pytest.raises(rpc.RpcRemoteError) as excinfo:
+                client.replay(key)
+    assert excinfo.value.code == rpc.BAD_PINBALL
+    assert "malformed region snapshot" in excinfo.value.remote_message
 
 
 # -- slice pinballs: exclusion records and the schedule ----------------------
