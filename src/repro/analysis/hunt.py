@@ -8,12 +8,13 @@ repeated in-situ re-execution.  Three stages:
    (:func:`repro.detect.detect_races`, untraced fast path) plus maple
    interleaving profiling (on the recorder protocol, untraced too)
    yields racy site pairs and predicted iRoots.
-2. **Permute** — each candidate becomes a fresh schedule of the same
-   program/region/inputs: racy pairs and iRoots are *forced* (both
-   orders) with the maple active scheduler; remaining budget goes to
-   seeded random perturbations.  All nondeterminism besides the
-   schedule is pinned (inputs, rand seed, heap poison ride along from
-   the recording), so each candidate run is fully deterministic.
+2. **Permute** — each candidate becomes a fresh schedule of the
+   recorded region: racy pairs and iRoots are *forced* (both orders)
+   with the maple active scheduler; remaining budget goes to seeded
+   random perturbations.  All nondeterminism besides the schedule is
+   pinned (memory, threads, inputs, rand state and heap poison all
+   ride in the region snapshot), so each candidate run is fully
+   deterministic.
 3. **Classify & shrink** — every outcome is classified **crash** (the
    VM failure fired), **wrong-output** (differs from the deterministic
    round-robin reference), **benign**, or **overrun** (the run did not
@@ -24,7 +25,10 @@ repeated in-situ re-execution.  Three stages:
    failing instruction.
 
 Every re-execution (the reference run, each candidate, each
-minimization attempt) is a *bare* run of the region, with no recorder
+minimization attempt, the final minimized recording) starts from the
+recording's region snapshot, as replay does, so a region behind a
+``skip`` hunts the state and schedule it was recorded with and no run
+fast-forwards.  Each is a *bare* run of the region, with no recorder
 and no tool; its outcome is read off the machine, and a candidate's
 schedule off its scheduler's commits.  A minimization attempt forks a
 base machine that ran the current schedule up to where the attempt
@@ -37,8 +41,8 @@ multiple of the recording's (:data:`STEP_CAP_FACTOR`, at least
 ends as an ``overrun`` row — counted, never deduped into a finding,
 minimized or recorded — instead of hanging the hunt.  A capped
 reference run leaves ``reference_output`` None.  Maple's profiling runs
-in ``scan`` stop at ``skip`` plus the cap, since they start at machine
-start.  The fast-forward to a region's ``skip`` is not bounded.
+in ``scan`` start at machine start, so they stop at ``skip`` plus the
+cap.
 
 Everything is deterministic by construction: candidates are generated
 in sorted order, evaluated independently, and merged by candidate id —
@@ -63,7 +67,7 @@ from repro.maple.idioms import IRoot, MemAccess
 from repro.maple.profiler import InterleavingProfiler
 from repro.obs.registry import OBS
 from repro.pinplay.format_v2 import capture_state
-from repro.pinplay.logger import enter_region, record_region, run_region
+from repro.pinplay.logger import record_from, run_region
 from repro.pinplay.pinball import Pinball
 from repro.pinplay.regions import RegionSpec
 from repro.pinplay.replayer import restore_machine
@@ -94,7 +98,10 @@ class PerturbedScheduler(Scheduler):
     schedule executable — the property minimization relies on.
     Deterministic for a fixed run list.
 
-    ``leaves[i]`` notes the steps committed before it left run ``i``.
+    Hunt runs start at region entry, so the list is a region schedule
+    (the recording's, or a mutation of it) and ``steps`` counts region
+    steps.  ``leaves[i]`` notes the steps committed before it left run
+    ``i``.
     """
 
     def __init__(self, runs: Sequence[Tuple[int, int]],
@@ -190,27 +197,24 @@ class _LoggedScheduler(Scheduler):
 
 # -- context / candidates -----------------------------------------------------
 
-def hunt_context(pinball: Pinball, program: Program,
-                 inputs: Optional[Sequence] = None,
-                 rand_seed: Optional[int] = None) -> dict:
-    """Everything a candidate re-execution must pin, as a plain dict.
+def hunt_context(pinball: Pinball, program: Program) -> dict:
+    """Everything a candidate re-execution needs, as a plain dict.
 
-    The reference output comes from one deterministic round-robin run
-    of the same region: schedule-independent programs always match it,
-    so any mismatch under a candidate schedule is an order violation.
+    ``snapshot`` is the recording's region snapshot, which every run
+    starts from; ``inputs`` (for Maple's profiling runs, which start at
+    machine start) and ``rand_seed`` (provenance for the minimized
+    pinballs) come from the recording's meta.  The reference output
+    comes from one deterministic round-robin run of the same region:
+    schedule-independent programs always match it, so any mismatch
+    under a candidate schedule is an order violation.
     """
     meta = pinball.meta
-    if inputs is None:
-        inputs = meta.get("inputs", [])
-    if rand_seed is None:
-        rand_seed = int(meta.get("rand_seed", 0))
-    memory_snap = (pinball.snapshot or {}).get("memory", {})
     ctx = {
-        "inputs": list(inputs),
-        "rand_seed": int(rand_seed),
+        "inputs": list(meta.get("inputs", [])),
+        "rand_seed": int(meta.get("rand_seed", 0)),
         "skip": int(meta.get("skip", 0) or 0),
         "length": meta.get("length"),
-        "heap_poison": bool(memory_snap.get("poison", False)),
+        "snapshot": pinball.snapshot,
         "step_cap": max(STEP_CAP_MIN, STEP_CAP_FACTOR * pinball.total_steps),
         "recorded_runs": [list(run) for run in pinball.schedule],
         "reference_output": None,
@@ -227,33 +231,31 @@ def _region(ctx: dict) -> RegionSpec:
                       length=int(length) if length is not None else None)
 
 
-def _enter(program: Program, scheduler: Scheduler, ctx: dict) -> Machine:
-    """A fresh machine pinned for the hunted region, at region entry."""
-    machine = Machine(program, scheduler=scheduler,
-                      inputs=ctx.get("inputs", ()),
-                      rand_seed=int(ctx.get("rand_seed", 0)),
-                      heap_poison=bool(ctx.get("heap_poison", False)))
-    enter_region(machine, _region(ctx))
-    return machine
+def _restore(program: Program, scheduler: Scheduler, ctx: dict,
+             base: Optional[Machine] = None) -> Machine:
+    """A machine driven by ``scheduler`` from the hunted region's entry
+    (the recording's snapshot), or from ``base``'s current state."""
+    if base is None:
+        return restore_machine(program, ctx["snapshot"], scheduler)
+    body = capture_state(base, {}, base.output)
+    return restore_machine(program, body["snapshot"], scheduler, body=body,
+                           global_seq=base.global_seq, engine=base.engine)
 
 
-def _finish(machine: Machine, start: int, ctx: dict,
+def _finish(machine: Machine, ctx: dict,
             done: int = 0) -> Tuple[Optional[dict], list, bool]:
     """Run ``machine``, ``done`` steps into the region, on to the
-    region's end or the step cap: its failure (or None), its output past
-    ``start`` (the output's length at region start), and whether the cap
-    cut it short."""
-    cap = ctx.get("step_cap")
+    region's end or the step cap: its failure (or None), its output
+    since region entry, and whether the cap cut it short."""
     ended = run_region(machine, _region(ctx),
-                       None if cap is None else max(0, cap - done))
-    return machine.failure, machine.output[start:], ended == "step_cap"
+                       max(0, ctx["step_cap"] - done))
+    return machine.failure, list(machine.output), ended == "step_cap"
 
 
 def _run(program: Program, scheduler: Scheduler,
          ctx: dict) -> Tuple[Optional[dict], list, bool]:
     """One bare re-execution of the hunted region (see :func:`_finish`)."""
-    machine = _enter(program, scheduler, ctx)
-    return _finish(machine, len(machine.output), ctx)
+    return _finish(_restore(program, scheduler, ctx), ctx)
 
 
 def _access_kinds(kind: str) -> Tuple[bool, bool]:
@@ -317,15 +319,12 @@ def make_candidates(races, predicted_iroots: Sequence[IRoot],
 
 def scan(pinball: Pinball, program: Program,
          budget: Optional[int] = None,
-         profile_seeds: int = 4,
-         inputs: Optional[Sequence] = None,
-         rand_seed: Optional[int] = None) -> Tuple[list, List[dict], dict]:
+         profile_seeds: int = 4) -> Tuple[list, List[dict], dict]:
     """Stage 1: detect races, predict iRoots, build the candidate list."""
     budget = config.hunt_budget(explicit=budget)
     with OBS.span("hunt.scan"):
         races = detect_races(pinball, program)
-        ctx = hunt_context(pinball, program, inputs=inputs,
-                           rand_seed=rand_seed)
+        ctx = hunt_context(pinball, program)
         profiler = InterleavingProfiler(program, inputs=ctx["inputs"])
         profiler.run(list(range(profile_seeds)),
                      switch_prob=SEED_SWITCH_PROB,
@@ -379,11 +378,7 @@ def evaluate(program: Program, candidates: Sequence[dict],
     for candidate in candidates:
         scheduler = _LoggedScheduler(_scheduler_for(candidate, ctx))
         with OBS.span("hunt.candidate_run"):
-            machine = _enter(program, scheduler, ctx)
-            scheduler.schedule = ScheduleRecorder()   # region steps only
-            failure, output, overrun = _finish(machine, len(machine.output),
-                                               ctx)
-        del machine
+            failure, output, overrun = _run(program, scheduler, ctx)
         outcome = _classify(failure, output, ctx, overrun)
         row = {"cid": candidate["cid"], "outcome": outcome,
                "failure": failure, "output": output}
@@ -423,14 +418,6 @@ def _normalize(runs: List[List[int]]) -> List[List[int]]:
     return out
 
 
-def _fork(program: Program, base: Machine, scheduler: Scheduler) -> Machine:
-    """A copy of ``base``, from its current state on driven by
-    ``scheduler``."""
-    body = capture_state(base, {}, base.output)
-    return restore_machine(program, body["snapshot"], scheduler, body=body,
-                           global_seq=base.global_seq, engine=base.engine)
-
-
 def minimize_schedule(program: Program, runs, outcome: str,
                       failure: Optional[dict], ctx: dict,
                       budget: int = 64
@@ -450,14 +437,9 @@ def minimize_schedule(program: Program, runs, outcome: str,
     Each pass restarts the base at region entry.
     """
     current = _normalize([list(run) for run in runs])
-    # Steps are counted from machine start, so behind a fast-forward
-    # (``skip``) the notes would place most merges inside it: there
-    # every attempt runs from region entry.
-    forks = not _region(ctx).skip
-    leaves = (list(accumulate(count for _tid, count in current))
-              if forks else [])
+    leaves = list(accumulate(count for _tid, count in current))
     removed = False
-    trials = reused = base_start = 0
+    trials = reused = 0
     base: Optional[Machine] = None
     base_scheduler: Optional[PerturbedScheduler] = None
     with OBS.span("hunt.minimize"):
@@ -476,8 +458,7 @@ def minimize_schedule(program: Program, runs, outcome: str,
                 if index < len(leaves):
                     if base is None:
                         base_scheduler = PerturbedScheduler(current)
-                        base = _enter(program, base_scheduler, ctx)
-                        base_start = len(base.output)
+                        base = _restore(program, base_scheduler, ctx)
                     ahead = leaves[index] - base_scheduler.steps
                     if ahead > 0:
                         base.run(max_steps=ahead)
@@ -486,8 +467,9 @@ def minimize_schedule(program: Program, runs, outcome: str,
                     if ahead >= 0 and len(base_scheduler.leaves) <= index:
                         scheduler = base_scheduler.follow(merged)
                         reused += base_scheduler.steps
-                        ran = _finish(_fork(program, base, scheduler),
-                                      base_start, ctx, scheduler.steps)
+                        ran = _finish(_restore(program, scheduler, ctx,
+                                               base),
+                                      ctx, scheduler.steps)
                 if ran is None:
                     scheduler = PerturbedScheduler(merged)
                     ran = _run(program, scheduler, ctx)
@@ -498,19 +480,16 @@ def minimize_schedule(program: Program, runs, outcome: str,
                     continue
                 current = merged
                 removed = improved = True
-                if forks:
-                    leaves = scheduler.leaves
+                leaves = scheduler.leaves
                 if base is not None and len(base_scheduler.leaves) <= index:
                     base_scheduler = base_scheduler.follow(merged)
                     base.scheduler = base_scheduler
                 else:
                     base = None
         base = None
-        pinball = record_region(
-            program, PerturbedScheduler(current), _region(ctx),
-            inputs=ctx.get("inputs", ()),
-            rand_seed=int(ctx.get("rand_seed", 0)),
-            heap_poison=bool(ctx.get("heap_poison", False)))
+        pinball = record_from(
+            _restore(program, PerturbedScheduler(current), ctx),
+            _region(ctx), rand_seed=ctx["rand_seed"])
     if not removed and not _reproduces(
             pinball.meta.get("failure"), pinball.meta.get("output", []),
             outcome, failure, ctx):
@@ -620,8 +599,6 @@ class HuntResult:
 
 def hunt(pinball: Pinball, program: Program,
          budget: Optional[int] = None,
-         inputs: Optional[Sequence] = None,
-         rand_seed: Optional[int] = None,
          profile_seeds: int = 4,
          minimize_budget: int = 64,
          slice_reports: bool = True) -> HuntResult:
@@ -634,8 +611,7 @@ def hunt(pinball: Pinball, program: Program,
     """
     with OBS.span("hunt.total"):
         races, candidates, ctx = scan(pinball, program, budget=budget,
-                                      profile_seeds=profile_seeds,
-                                      inputs=inputs, rand_seed=rand_seed)
+                                      profile_seeds=profile_seeds)
         rows = evaluate(program, candidates, ctx)
         result = HuntResult(
             races=[RaceFinding.from_race(race, program) for race in races],

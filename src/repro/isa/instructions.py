@@ -166,10 +166,6 @@ class Instr:
         return "".join(_OPERAND_KIND_CODES.get(type(operand), "?")
                        for operand in self.operands)
 
-    def falls_through(self) -> bool:
-        """True if the next sequential pc is a possible successor."""
-        return self.op not in (Opcode.JMP, Opcode.IJMP, Opcode.RET)
-
     # -- classification helpers --------------------------------------------
 
     def is_branch(self) -> bool:

@@ -16,8 +16,6 @@ from repro.isa.instructions import Instr, Label, Opcode
 
 #: Data address where the globals segment starts.
 GLOBAL_BASE = 16
-#: Reserved low addresses (address 0 acts as a trap/null).
-NULL_ADDR = 0
 
 
 class LinkError(Exception):
@@ -210,9 +208,6 @@ class Program:
         return None
 
     # -- queries --------------------------------------------------------------
-
-    def instr_at(self, addr: int) -> Instr:
-        return self.instructions[addr]
 
     def function_at(self, addr: int) -> Optional[Function]:
         """The function containing code address ``addr`` (linear scan cached)."""

@@ -102,11 +102,6 @@ class _Parser:
             type_name += "*"
         return type_name, token
 
-    def _at_type(self) -> bool:
-        token = self.peek()
-        return token.kind == "kw" and (token.text in _TYPE_NAMES
-                                       or token.text == "struct")
-
     # -- top level -----------------------------------------------------------
 
     def parse_unit(self) -> ast.TranslationUnit:

@@ -11,9 +11,10 @@ Two phases, exactly as in the paper:
    ends.  The tool records the schedule, nondeterministic syscall results,
    shared-memory access-order edges, and per-thread instruction counts.
 
-The two phases are :func:`enter_region` and :func:`run_region`; hunt's
-bare re-executions (:mod:`repro.analysis.hunt`) run the same two with no
-recorder attached.
+The two phases are :func:`enter_region` and :func:`record_from`, which
+runs :func:`run_region` under the recorder.  Hunt's bare re-executions
+(:mod:`repro.analysis.hunt`) restore the region snapshot instead of
+entering, and run :func:`run_region` with no recorder attached.
 """
 
 from __future__ import annotations
@@ -367,23 +368,10 @@ def record_region(program: Program,
 
     ``scheduler`` drives the interleaving of the *recording* run (e.g. a
     seeded :class:`~repro.vm.scheduler.RandomScheduler` to shake out a
-    race).  ``extra_tools`` attach additional analyses to the recorded
-    region (used by the Maple integration).  ``engine`` selects the
-    interpreter (see :data:`repro.vm.machine.ENGINES`); the fast-forward
-    phase runs with no tools attached, so the predecoded engine's
-    untraced path gives it Pin-only speed.
-
-    The record phase itself uses the event-free :class:`FastRecorder`
-    whenever it can (predecoded engine, no extra tools) and falls back
-    to the classic :class:`LoggerTool` otherwise — both produce
-    identical pinballs (the differential suite asserts it).
-
-    ``pinball_format``/``checkpoint_interval`` default to the config
-    knobs.  Under format v2 the recorder embeds a machine checkpoint
-    every ``checkpoint_interval`` steps, and ``stream_path`` (fast path
-    only) streams frames to that file during recording — the returned
-    pinball is the lazily-opened file, and peak memory stays flat in
-    region length.
+    race).  ``engine`` selects the interpreter (see
+    :data:`repro.vm.machine.ENGINES`); the fast-forward phase runs with
+    no tools attached, so the predecoded engine's untraced path gives it
+    Pin-only speed.  The record phase is :func:`record_from`.
 
     ``heap_poison`` enables the allocator's poison-on-free mode for the
     recorded run (see :class:`repro.vm.memory.Memory`); the flag rides
@@ -391,6 +379,41 @@ def record_region(program: Program,
     exactly.
     """
     region = region or RegionSpec()
+    machine = Machine(program, scheduler=scheduler, inputs=inputs,
+                      rand_seed=rand_seed, engine=engine,
+                      heap_poison=heap_poison)
+    enter_region(machine, region)
+    return record_from(machine, region, rand_seed=rand_seed,
+                       extra_tools=extra_tools, stream_path=stream_path,
+                       pinball_format=pinball_format,
+                       checkpoint_interval=checkpoint_interval)
+
+
+def record_from(machine: Machine, region: RegionSpec,
+                rand_seed: int = 0,
+                extra_tools=(),
+                stream_path: Optional[str] = None,
+                pinball_format: Optional[str] = None,
+                checkpoint_interval: Optional[int] = None) -> Pinball:
+    """Log ``region`` of ``machine``, which stands at the region's entry
+    (fresh after :func:`enter_region`, or restored from a region
+    snapshot), into a pinball.  ``rand_seed`` is provenance only: the
+    seed the run started from, kept in the pinball's meta.
+
+    ``extra_tools`` attach additional analyses to the recorded region
+    (used by the Maple integration).  The record phase uses the
+    event-free :class:`FastRecorder` whenever it can (predecoded engine,
+    no extra tools) and falls back to the classic :class:`LoggerTool`
+    otherwise — both produce identical pinballs (the differential suite
+    asserts it).
+
+    ``pinball_format``/``checkpoint_interval`` default to the config
+    knobs.  Under format v2 the recorder embeds a machine checkpoint
+    every ``checkpoint_interval`` steps, and ``stream_path`` (fast path
+    only) streams frames to that file during recording — the returned
+    pinball is the lazily-opened file, and peak memory stays flat in
+    region length.
+    """
     fmt = config.pinball_format(explicit=pinball_format)
     if fmt == "v2" or checkpoint_interval is not None:
         interval = config.checkpoint_interval(explicit=checkpoint_interval)
@@ -398,10 +421,6 @@ def record_region(program: Program,
         interval = 0
     if stream_path is not None and fmt != "v2":
         raise ValueError("stream_path requires pinball format v2")
-    machine = Machine(program, scheduler=scheduler, inputs=inputs,
-                      rand_seed=rand_seed, engine=engine,
-                      heap_poison=heap_poison)
-    enter_region(machine, region)
     snapshot = machine.snapshot().to_dict()
     output_start = len(machine.output)
 
@@ -411,7 +430,7 @@ def record_region(program: Program,
     if use_fast:
         if stream_path is not None:
             stream_fh = open(stream_path, "wb")
-            writer = PinballWriter(stream_fh, program.name,
+            writer = PinballWriter(stream_fh, machine.program.name,
                                    checkpoint_interval=interval)
             writer.write_snapshot(snapshot)
         recorder = FastRecorder(writer=writer,
@@ -481,10 +500,10 @@ def record_region(program: Program,
         "output": list(machine.output[output_start:]),
         "final_state_hash": state_hash(machine),
         "exit_code": machine.exit_code,
-        # Re-execution provenance: fresh runs of the same program (the
-        # hunt pipeline's candidate schedules) need the original
-        # nondeterminism sources, not just the recorded log.
-        "inputs": list(inputs),
+        # Re-execution provenance: fresh runs of the same program (Maple's
+        # profiling runs in a hunt) need the original nondeterminism
+        # sources, not just the recorded log.
+        "inputs": list(machine.inputs),
         "rand_seed": rand_seed,
     }
     if writer is not None:
@@ -501,7 +520,7 @@ def record_region(program: Program,
             OBS.add("pinplay.pinball_bytes_written", writer.bytes_written)
         return Pinball.load(stream_path)
     pinball = Pinball(
-        program_name=program.name,
+        program_name=machine.program.name,
         snapshot=snapshot,
         schedule=schedule_runs,
         syscalls=syscalls,

@@ -199,24 +199,40 @@ class Pinball:
             raise PinballFormatError(
                 "%s: unsupported pinball format version %r (expected %r)"
                 % (source, version, cls.FORMAT_VERSION))
-        # Single-pass canonicalization from the (trusted, self-produced)
-        # serialized form.  JSON already delivers ints, so the schedule
-        # needs only the shape-checking tuple unpack — the old
-        # ``int(t)``/``int(c)`` casts re-boxed every entry for nothing
-        # and dominated Pinball.load for long regions.  Syscall tids are
-        # the one real conversion (JSON object keys are strings).
+        # JSON already delivers ints: the schedule is type-checked, not
+        # re-boxed through ``int()`` (which dominated Pinball.load for
+        # long regions).  Syscall tids are the one real conversion.
         try:
+            schedule = [(t, c) for t, c in payload["schedule"]]
+            for index, (tid, count) in enumerate(schedule):
+                if type(tid) is not int or type(count) is not int or count < 1:
+                    raise PinballFormatError(
+                        "%s: malformed schedule (run %d is %r, not an int "
+                        "tid and an int count of at least 1)"
+                        % (source, index, [tid, count]))
+            syscalls = {}
+            for tid, log in payload["syscalls"].items():
+                results = syscalls[int(tid)] = []
+                for index, entry in enumerate(log):
+                    if (type(entry) is not list or len(entry) != 2
+                            or type(entry[0]) is not str):
+                        raise PinballFormatError(
+                            "%s: malformed syscall log (thread %s result %d "
+                            "is %r, not a [name, value] pair)"
+                            % (source, tid, index, entry))
+                    results.append((entry[0], entry[1]))
             pinball = cls(
                 program_name=payload["program_name"],
                 snapshot=payload["snapshot"],
-                schedule=[(t, c) for t, c in payload["schedule"]],
-                syscalls={int(tid): [(entry[0], entry[1]) for entry in log]
-                          for tid, log in payload["syscalls"].items()},
+                schedule=schedule,
+                syscalls=syscalls,
                 mem_order=[tuple(edge) for edge in payload["mem_order"]],
                 exclusions=payload.get("exclusions", []),
                 meta=payload.get("meta", {}),
                 trusted=True,
             )
+        except PinballFormatError:
+            raise
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise PinballFormatError(
                 "%s: malformed pinball payload (%s: %s)"

@@ -41,9 +41,6 @@ from repro.serve.workers import RemoteOpError, WorkerPool, error_code
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 9178
 
-#: Methods executed on the worker pool (keyed by stored recording).
-_POOL_METHODS = ("replay", "slice", "last_reads", "races", "build", "hunt")
-
 #: Chaos-testing exit status — distinctive so a test harness can tell a
 #: deliberately injected node death from a genuine crash.
 CHAOS_EXIT_STATUS = 17

@@ -21,7 +21,7 @@ caches, via the store) only the records a consumer actually touches.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.pinplay.pinball import Pinball, PinballFormatError
 from repro.slicing.trace import ColumnarTraceStore, TraceRecord, TraceStore
@@ -31,8 +31,9 @@ Edge = Tuple[int, int, int, int, int, str]
 
 class GlobalTraceError(PinballFormatError):
     """A pinball's access-order edges (``mem_order``) cannot be merged:
-    an edge is not six fields, comes from a thread with no trace, or the
-    edges form a cycle.  None of these can come from a real execution."""
+    an edge is not six fields, an end of it is not an instruction of a
+    traced thread, or the edges form a cycle.  None of these can come
+    from a real execution."""
 
 
 class LazyOrderView:
@@ -132,27 +133,30 @@ class GlobalTrace:
         return True
 
 
-def build_incoming(edges: Sequence[Edge], threads: Collection[int],
+def build_incoming(edges: Sequence[Edge], lengths: Dict[int, int],
                    source: str) -> Dict[Tuple[int, int],
                                         List[Tuple[int, int]]]:
-    """Each edge's *to* instance -> its *from* instances; ``threads``
-    are the tids with a trace.  Every merge of a pinball's ``mem_order``
-    reads it through here."""
+    """Each edge's *to* instance -> its *from* instances; ``lengths``
+    maps each traced tid to its trace length.  Every merge of a
+    pinball's ``mem_order`` reads it through here."""
     incoming: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     for index, edge in enumerate(edges):
         try:
             from_tid, from_tindex, to_tid, to_tindex, _addr, _kind = edge
-            known = from_tid in threads
-            incoming.setdefault((to_tid, to_tindex), []).append(
-                (from_tid, from_tindex))
         except (TypeError, ValueError):
             raise GlobalTraceError(
                 "%s: malformed mem_order (edge %d is not six fields: %r)"
                 % (source, index, edge)) from None
-        if not known:
-            raise GlobalTraceError(
-                "%s: malformed mem_order (edge %d comes from thread %r, "
-                "which has no trace)" % (source, index, from_tid))
+        for end, tid, tindex in (("source", from_tid, from_tindex),
+                                 ("destination", to_tid, to_tindex)):
+            length = lengths.get(tid, 0) if type(tid) is int else 0
+            if type(tindex) is not int or not 0 <= tindex < length:
+                raise GlobalTraceError(
+                    "%s: malformed mem_order (edge %d: %s (%r, %r) is not "
+                    "an instruction of a traced thread)"
+                    % (source, index, end, tid, tindex))
+        incoming.setdefault((to_tid, to_tindex), []).append(
+            (from_tid, from_tindex))
     return incoming
 
 
@@ -175,9 +179,9 @@ def merge_traces(store: Union[TraceStore, ColumnarTraceStore],
     if isinstance(store, ColumnarTraceStore):
         return _merge_columnar(store, edges, source)
     tids = store.threads()
-    incoming = build_incoming(edges, tids, source)
-    cursor: Dict[int, int] = {tid: 0 for tid in tids}
     lengths: Dict[int, int] = {tid: store.thread_length(tid) for tid in tids}
+    incoming = build_incoming(edges, lengths, source)
+    cursor: Dict[int, int] = {tid: 0 for tid in tids}
     total = sum(lengths.values())
     order: List[TraceRecord] = []
     current = 0
@@ -210,9 +214,9 @@ def _merge_columnar(store: ColumnarTraceStore, edges: Sequence[Edge],
                     source: str) -> GlobalTrace:
     """Index-only merge: identical emission order, zero materialization."""
     tids = store.threads()
-    incoming = build_incoming(edges, tids, source)
-    cursor: Dict[int, int] = {tid: 0 for tid in tids}
     lengths: Dict[int, int] = {tid: store.thread_length(tid) for tid in tids}
+    incoming = build_incoming(edges, lengths, source)
+    cursor: Dict[int, int] = {tid: 0 for tid in tids}
     total = sum(lengths.values())
     order_tids: List[int] = []
     order_tindexes: List[int] = []

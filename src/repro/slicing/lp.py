@@ -93,8 +93,3 @@ def _build_blocks_columnar(order, block_size: int):
             defs.update(def_locs[position])
         blocks.append(TraceBlock(start, end, defs))
     return blocks, def_locs
-
-
-def block_index_for(blocks: List[TraceBlock], gpos: int,
-                    block_size: int) -> int:
-    return min(gpos // block_size, len(blocks) - 1) if blocks else -1

@@ -482,10 +482,10 @@ class ReexecIndex:
         every gpos here equals the materialized pipeline's gpos."""
         pcs = self._pcs
         source = self.pinball._source
-        incoming = build_incoming(self.pinball.mem_order, pcs, source)
         tids = sorted(pcs)
-        cursor = {tid: 0 for tid in tids}
         lengths = {tid: len(pcs[tid]) for tid in tids}
+        incoming = build_incoming(self.pinball.mem_order, lengths, source)
+        cursor = {tid: 0 for tid in tids}
         total = sum(lengths.values())
         # 32-bit columns: positions/tindexes are bounded by the region's
         # step count, which sits far under 2**31 for anything the ddg

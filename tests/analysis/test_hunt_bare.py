@@ -5,9 +5,10 @@ recorder and no tool, attempts fork a base machine where they diverge,
 the Maple active scheduler watches its own iRoot and the profiler
 listens on the recorder protocol.  The oracle here is the pipeline
 those replaced: every re-execution a ``record_region`` from region
-entry, forced candidates under an event-driven iRoot watch.  Rows
-(schedules included), minimized run lists, trial counts and minimized
-pinball bytes must match it exactly.
+entry (behind a ``skip``, a ``record_from`` of the restored region
+snapshot, where every hunt run starts), forced candidates under an
+event-driven iRoot watch.  Rows (schedules included), minimized run
+lists, trial counts and minimized pinball bytes must match it exactly.
 """
 
 import importlib
@@ -23,7 +24,9 @@ from repro.maple import ActiveScheduler, InterleavingProfiler, IRoot, MemAccess
 from repro.maple.profiler import ProfilerTool
 from repro.obs.registry import OBS
 from repro.pinplay import RegionSpec, record_region
+from repro.pinplay.logger import record_from
 from repro.pinplay.pinball import state_hash
+from repro.pinplay.replayer import restore_machine
 from repro.serve import PinballStore, WorkerPool
 from repro.vm import Machine, RandomScheduler
 from repro.vm.hooks import Tool
@@ -81,11 +84,20 @@ class _EventActiveScheduler(ActiveScheduler):
 
 
 def _oracle_execute(program, scheduler, ctx, extra_tools=()):
-    return record_region(program, scheduler, hunt_mod._region(ctx),
+    """A recording of one re-execution.  Behind a ``skip`` it starts
+    from the region snapshot, as the recording's own region did."""
+    region = hunt_mod._region(ctx)
+    if region.skip:
+        return record_from(restore_machine(program, ctx["snapshot"],
+                                           scheduler),
+                           region, rand_seed=int(ctx.get("rand_seed", 0)),
+                           extra_tools=extra_tools)
+    poison = ctx["snapshot"]["memory"].get("poison", False)
+    return record_region(program, scheduler, region,
                          inputs=ctx.get("inputs", ()),
                          rand_seed=int(ctx.get("rand_seed", 0)),
                          extra_tools=extra_tools,
-                         heap_poison=bool(ctx.get("heap_poison", False)))
+                         heap_poison=bool(poison))
 
 
 def _oracle_evaluate(program, candidates, ctx):
@@ -276,17 +288,17 @@ class TestFork:
         runs = [list(run) for run in pinball.schedule]
         for at in (1, pinball.total_steps // 3, pinball.total_steps - 2):
             scheduler = PerturbedScheduler(runs)
-            base = hunt_mod._enter(program, scheduler, ctx)
-            start = len(base.output)
+            base = hunt_mod._restore(program, scheduler, ctx)
             base.run(max_steps=at)
-            fork = hunt_mod._fork(program, base, scheduler.follow(runs))
+            fork = hunt_mod._restore(program, scheduler.follow(runs), ctx,
+                                     base)
             assert state_hash(fork) == state_hash(base)
             assert fork.global_seq == base.global_seq == at
             assert ({tid: t.instr_count for tid, t in fork.threads.items()}
                     == {tid: t.instr_count
                         for tid, t in base.threads.items()})
-            forked = hunt_mod._finish(fork, start, ctx)
-            assert forked == hunt_mod._finish(base, start, ctx)
+            forked = hunt_mod._finish(fork, ctx)
+            assert forked == hunt_mod._finish(base, ctx)
             assert forked[0] == pinball.meta["failure"]
             assert state_hash(fork) == pinball.meta["final_state_hash"]
 

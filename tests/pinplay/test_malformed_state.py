@@ -1,18 +1,21 @@
-"""A malformed region snapshot, checkpoint body, schedule or exclusion
-record is a typed error.
+"""A malformed region snapshot, checkpoint body, schedule, syscall log or
+exclusion record is a typed error.
 
 The pinball container can be intact (v1 JSON parses, v2 frames pass
 their CRCs) while the machine state inside it is not: a snapshot of the
 wrong shape or with a thread whose registers are not the ISA's, a
-checkpoint body missing a field, a schedule run with a
-non-integer count, or a slice pinball's exclusion record missing a
+checkpoint body missing a field, a schedule run that is not an int
+tid with an int count of at least 1, a syscall entry that is not a
+[name, value] pair, or a slice pinball's exclusion record missing a
 field or naming a register outside the ISA.  Whatever touches that
 state — replay, ``resume_machine``, a debugger seek, ``repro replay`` —
 must raise :class:`PinballFormatError` naming the pinball's source and
 the part (the checkpoint by step, the exclusion record by index), never
-a raw ``KeyError``/``TypeError`` or a divergence far from the cause.
+a raw ``KeyError``/``TypeError`` or a divergence far from the cause.  A
+v1 schedule or syscall log fails as the pinball loads.
 """
 
+import json
 import re
 
 import pytest
@@ -23,7 +26,7 @@ from repro.lang import compile_source
 from repro.pinplay import (EmbeddedCheckpoint, Pinball, PinballFormatError,
                            RegionSpec, record_region, relog, replay,
                            resume_machine)
-from repro.serve import DebugClient, rpc
+from repro.serve import DebugClient, PinballStore, rpc
 from repro.vm import RoundRobinScheduler
 
 from tests.serve.conftest import (RACY_SOURCE, record_racy_pinball,
@@ -220,15 +223,13 @@ def sliced():
 
 
 def _broken(slice_pb, path, fmt, shape):
-    """``slice_pb`` with ``shape`` applied, saved to ``path`` in ``fmt``
-    and reloaded."""
+    """Save ``slice_pb`` with ``shape`` applied to ``path`` in ``fmt``."""
     copy = Pinball.from_bytes(slice_pb.to_bytes(format="v1"))
     if shape == "schedule":
         copy.schedule = [[0, "a"]]
     else:
         EXCLUSION_SHAPES[shape][0](copy.exclusions[0])
     copy.save(str(path), format=fmt)
-    return Pinball.load(str(path))
 
 
 def _label(shape):
@@ -244,11 +245,12 @@ SLICE_CASES = ([(fmt, shape) for fmt in ("v1", "v2")
 def test_malformed_slice_pinball_replay(sliced, tmp_path, fmt, shape):
     program, slice_pb = sliced
     path = tmp_path / ("bad-%s.pinball" % shape)
-    bad = _broken(slice_pb, path, fmt, shape)
+    _broken(slice_pb, path, fmt, shape)
     with pytest.raises(PinballFormatError,
                        match=re.escape(str(path)) + ": malformed "
                        + _label(shape)):
-        replay(bad, program, verify=False)
+        # A v1 schedule fails at load, the rest at replay.
+        replay(Pinball.load(str(path)), program, verify=False)
 
 
 @pytest.mark.parametrize("fmt,shape", SLICE_CASES)
@@ -267,3 +269,76 @@ def test_intact_slice_pinball_still_replays(sliced):
     program, slice_pb = sliced
     machine, _result = replay(slice_pb, program, verify=False)
     assert machine.skipped_exclusions == len(slice_pb.exclusions)
+
+
+# -- v1 schedule runs and syscall entries -------------------------------------
+
+def _edit_first_run(edit):
+    def apply(payload):
+        payload["schedule"][0] = edit(payload["schedule"][0])
+    return apply
+
+
+def _edit_first_syscall(edit):
+    def apply(payload):
+        log = payload["syscalls"][min(payload["syscalls"])]
+        log[0] = edit(log[0])
+    return apply
+
+
+#: Shape -> (the section the error names, how it edits a v1 payload).
+V1_TUPLE_SHAPES = {
+    "string-count": ("schedule",
+                     _edit_first_run(lambda run: [run[0], str(run[1])])),
+    "string-tid": ("schedule",
+                   _edit_first_run(lambda run: [str(run[0]), run[1]])),
+    "zero-count": ("schedule", _edit_first_run(lambda run: [run[0], 0])),
+    "one-field-syscall": ("syscall log",
+                          _edit_first_syscall(lambda entry: entry[:1])),
+    "three-field-syscall": ("syscall log",
+                            _edit_first_syscall(lambda entry: entry + [0])),
+    "int-syscall-name": ("syscall log",
+                         _edit_first_syscall(lambda entry: [7, entry[1]])),
+}
+
+
+def _v1_blob(pinball, shape):
+    """``pinball`` as uncompressed v1 bytes with ``shape`` applied."""
+    payload = json.loads(pinball.to_bytes(compress=False, format="v1"))
+    assert payload["schedule"] and payload["syscalls"]
+    V1_TUPLE_SHAPES[shape][1](payload)
+    return json.dumps(payload).encode()
+
+
+@pytest.mark.parametrize("shape", sorted(V1_TUPLE_SHAPES))
+def test_cli_replay_of_malformed_v1_tuple_exits_65(recorded, tmp_path,
+                                                   capsys, shape):
+    _program, pinball = recorded
+    source = tmp_path / "malformed.mc"
+    source.write_text(SOURCE)
+    path = tmp_path / "bad.pinball"
+    path.write_bytes(_v1_blob(pinball, shape))
+    assert main(["replay", str(source), str(path)]) == 65
+    assert ("%s: malformed %s (" % (path, V1_TUPLE_SHAPES[shape][0])
+            in capsys.readouterr().err)
+
+
+def test_served_replay_of_malformed_v1_tuples_is_bad_pinball(recorded,
+                                                             tmp_path):
+    program, pinball = recorded
+    store = PinballStore(str(tmp_path / "store"))
+    source_sha = store.put_source(SOURCE, program.name)
+    # Straight into the store: an upload parses the pinball, and refuses
+    # these before any worker sees them.
+    keys = {shape: store.put(_v1_blob(pinball, shape), kind="pinball",
+                             meta={"source_sha": source_sha,
+                                   "program_name": program.name})[0]
+            for shape in V1_TUPLE_SHAPES}
+    with running_server(store.root, workers=1) as server:
+        with DebugClient(port=server.port, timeout=60) as client:
+            for shape, key in sorted(keys.items()):
+                with pytest.raises(rpc.RpcRemoteError) as excinfo:
+                    client.replay(key)
+                assert excinfo.value.code == rpc.BAD_PINBALL, shape
+                assert ("malformed %s (" % V1_TUPLE_SHAPES[shape][0]
+                        in excinfo.value.remote_message), shape
