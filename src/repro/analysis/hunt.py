@@ -29,11 +29,22 @@ minimization attempt, the final minimized recording) starts from the
 recording's region snapshot, as replay does, so a region behind a
 ``skip`` hunts the state and schedule it was recorded with and no run
 fast-forwards.  Each is a *bare* run of the region, with no recorder
-and no tool; its outcome is read off the machine, and a candidate's
-schedule off its scheduler's commits.  A minimization attempt forks a
-base machine that ran the current schedule up to where the attempt
-diverges, and runs only the suffix.  One pinball is recorded per
-finding: the final minimized schedule's.
+and no tool; its outcome is read off the machine.  A candidate's
+schedule comes from the run loop's own RLE log
+(:meth:`~repro.vm.machine.Machine.set_schedule_log`), armed without the
+recorder's memory half, so the run stays on the untraced table on
+either engine.
+
+Runs share prefixes by forking: a fork restores a base machine's
+current state and runs only the suffix.  A forced candidate's active
+scheduler picks as round-robin until its first *hold* (a pick where a
+runnable thread sits at the iRoot's second site before the first site
+has run), so each :func:`evaluate` call runs one round-robin base for
+its forced candidates, and each forks the base at its first hold with
+its own scheduler at the base's round-robin position; a candidate that
+never holds has the base's row.  A minimization attempt forks a base
+that ran the current schedule up to where the attempt diverges.  One
+pinball is recorded per finding: the final minimized schedule's.
 
 Every re-execution is bounded: ``ctx["step_cap"]`` region steps, a
 multiple of the recording's (:data:`STEP_CAP_FACTOR`, at least
@@ -45,10 +56,10 @@ in ``scan`` start at machine start, so they stop at ``skip`` plus the
 cap.
 
 Everything is deterministic by construction: candidates are generated
-in sorted order, evaluated independently, and merged by candidate id —
-so a hunt distributed over the serve worker pool yields byte-identical
-minimized pinballs to an in-process one (the differential suite
-asserts it).
+in sorted order, each row is what the candidate's own run gives (a fork
+runs exactly that), and rows are merged by candidate id — so a hunt
+distributed over the serve worker pool yields byte-identical minimized
+pinballs to an in-process one (the differential suite asserts it).
 """
 
 from __future__ import annotations
@@ -62,7 +73,7 @@ from repro.analysis.report import (HuntFinding, RaceFinding, SliceReport,
                                    hunt_report_payload)
 from repro.detect import detect_races
 from repro.isa.program import Program
-from repro.maple.active_scheduler import ActiveScheduler
+from repro.maple.active_scheduler import BASE_QUANTUM, ActiveScheduler
 from repro.maple.idioms import IRoot, MemAccess
 from repro.maple.profiler import InterleavingProfiler
 from repro.obs.registry import OBS
@@ -159,40 +170,95 @@ class PerturbedScheduler(Scheduler):
         return twin
 
 
-class _LoggedScheduler(Scheduler):
-    """Drives ``inner`` and logs its committed steps as an RLE schedule:
-    what a recorder would log for the run, without one."""
+class _ForcedBase(RoundRobinScheduler):
+    """The round-robin run forced candidates share up to their first hold.
 
-    def __init__(self, inner: Scheduler) -> None:
-        self.inner = inner
-        self.schedule = ScheduleRecorder()
+    Until a candidate's :class:`ActiveScheduler` first holds a thread it
+    picks exactly as this does.  The base watches each pending
+    candidate's sites the way that scheduler would: a committed step on
+    a first site settles at the next pick, and once one retires, its
+    candidates never hold and keep the base's row.  At a pick where a
+    runnable thread sits at a pending candidate's second site, the
+    candidate forks the base (the state before that pick) with its own
+    scheduler at the base's round-robin position.  Every step is picked
+    while a candidate is pending; then the round-robin lease batches,
+    and a base whose row no candidate keeps ends.  ``forks`` holds
+    ``(candidate, machine, base steps before it)``.
+    """
+
+    def __init__(self, program: Program, forced: Sequence[dict],
+                 ctx: dict) -> None:
+        super().__init__(quantum=BASE_QUANTUM)
+        self._program = program
+        self._ctx = ctx
+        self._pending = {candidate["cid"] for candidate in forced}
+        self._firsts: Dict[int, List[dict]] = {}
+        self._seconds: Dict[int, List[dict]] = {}
+        for candidate in forced:
+            self._firsts.setdefault(int(candidate["first_pc"]),
+                                    []).append(candidate)
+            self._seconds.setdefault(int(candidate["second_pc"]),
+                                     []).append(candidate)
+        self._note: Optional[tuple] = None
+        self._machine: Optional[Machine] = None
+        self._shared = False
+        self.steps = 0
+        self.forks: List[tuple] = []
 
     def attach(self, machine) -> None:
-        self.inner.attach(machine)
+        self._machine = machine
 
     def pick(self, runnable: Sequence[int], last: Optional[int]) -> int:
-        return self.inner.pick(runnable, last)
+        threads = self._machine.threads
+        if self._note is not None:
+            tid, pc, retired = self._note
+            self._note = None
+            if threads[tid].instr_count > retired:
+                self._leave(self._firsts.pop(pc, ()), fork=False)
+        if self._pending:
+            for tid in runnable:
+                held = self._seconds.pop(threads[tid].pc, None)
+                if held:
+                    self._leave(held, fork=True)
+        return super().pick(runnable, last)
+
+    def _leave(self, candidates: Sequence[dict], fork: bool) -> None:
+        """The pending ones of ``candidates`` leave the base: forked
+        here, or keeping its row."""
+        for candidate in candidates:
+            if candidate["cid"] not in self._pending:
+                continue
+            self._pending.discard(candidate["cid"])
+            if not fork:
+                self._shared = True
+                continue
+            scheduler = _scheduler_for(candidate, self._ctx)
+            scheduler._current = self._current
+            scheduler._remaining = self._remaining
+            self.forks.append((candidate,
+                               _restore(self._program, scheduler, self._ctx,
+                                        self._machine),
+                               self.steps))
+        if not self._pending:
+            self._firsts.clear()
+            self._seconds.clear()
+            if not self._shared:
+                self._machine.request_exit(0)
 
     def commit(self, tid: int) -> None:
-        self.inner.commit(tid)
-        self.schedule.record(tid)
-
-    def commit_many(self, tid: int, n: int) -> None:
-        self.inner.commit_many(tid, n)
-        for _ in range(n):
-            self.schedule.record(tid)
+        super().commit(tid)
+        self.steps += 1
+        if self._firsts:
+            thread = self._machine.threads[tid]
+            if thread.pc in self._firsts:
+                self._note = (tid, thread.pc, thread.instr_count)
 
     def lease(self, tid: int) -> int:
-        return self.inner.lease(tid)
+        return 0 if self._pending else super().lease(tid)
 
-    def intended(self) -> Optional[int]:
-        return self.inner.intended()
-
-    def on_thread_created(self, tid: int) -> None:
-        self.inner.on_thread_created(tid)
-
-    def on_thread_finished(self, tid: int) -> None:
-        self.inner.on_thread_finished(tid)
+    def commit_many(self, tid: int, n: int) -> None:
+        super().commit_many(tid, n)     # one commit(), then the rest
+        self.steps += n - 1
 
 
 # -- context / candidates -----------------------------------------------------
@@ -256,6 +322,15 @@ def _run(program: Program, scheduler: Scheduler,
          ctx: dict) -> Tuple[Optional[dict], list, bool]:
     """One bare re-execution of the hunted region (see :func:`_finish`)."""
     return _finish(_restore(program, scheduler, ctx), ctx)
+
+
+def _logged(machine: Machine, ctx: dict, done: int = 0) -> tuple:
+    """:func:`_finish` with the run loop's schedule log armed: the
+    failure, output, overrun flag and the RLE runs of this machine's
+    steps."""
+    log = ScheduleRecorder()
+    machine.set_schedule_log(log)
+    return _finish(machine, ctx, done) + (log.finish(),)
 
 
 def _access_kinds(kind: str) -> Tuple[bool, bool]:
@@ -366,6 +441,42 @@ def _classify(failure: Optional[dict], output: Sequence, ctx: dict,
     return "benign"
 
 
+def _head(runs: Sequence[Sequence[int]], steps: int) -> List[List[int]]:
+    """The first ``steps`` steps of an RLE run list."""
+    out: List[List[int]] = []
+    for tid, count in runs:
+        if steps <= 0:
+            break
+        out.append([tid, min(count, steps)])
+        steps -= count
+    return out
+
+
+def _forced_runs(program: Program, forced: Sequence[dict],
+                 ctx: dict) -> Dict[str, tuple]:
+    """Every forced candidate's run, by cid, off one round-robin base
+    (:class:`_ForcedBase`): a fork's schedule is the base's up to the
+    fork, then its own."""
+    base = _ForcedBase(program, forced, ctx)
+    with OBS.span("hunt.candidate_run"):
+        ran = _logged(_restore(program, base, ctx), ctx)
+    # Candidates that never forked keep the base's row; a base that
+    # ended early is no one's row.
+    out = {candidate["cid"]: ran for candidate in forced}
+    skipped = 0
+    for candidate, fork, done in base.forks:
+        with OBS.span("hunt.candidate_run"):
+            failure, output, overrun, runs = _logged(fork, ctx, done)
+        out[candidate["cid"]] = (failure, output, overrun,
+                                 _normalize(_head(ran[3], done)
+                                            + [list(run) for run in runs]))
+        skipped += done
+    if OBS.enabled:
+        OBS.add("hunt.forced_forks", len(base.forks))
+        OBS.add("hunt.forced_prefix_steps", skipped)
+    return out
+
+
 def evaluate(program: Program, candidates: Sequence[dict],
              ctx: dict) -> List[dict]:
     """Stage 2: run each candidate schedule and classify its outcome.
@@ -374,17 +485,23 @@ def evaluate(program: Program, candidates: Sequence[dict],
     serve worker can evaluate a chunk and ship the rows back; confirmed
     rows carry the exposing RLE schedule (the minimization seed).
     """
+    forced = [candidate for candidate in candidates
+              if candidate["mode"] == "force"]
+    forced_runs = _forced_runs(program, forced, ctx) if forced else {}
     rows: List[dict] = []
     for candidate in candidates:
-        scheduler = _LoggedScheduler(_scheduler_for(candidate, ctx))
-        with OBS.span("hunt.candidate_run"):
-            failure, output, overrun = _run(program, scheduler, ctx)
+        ran = forced_runs.get(candidate["cid"])
+        if ran is None:
+            with OBS.span("hunt.candidate_run"):
+                ran = _logged(_restore(program,
+                                       _scheduler_for(candidate, ctx), ctx),
+                              ctx)
+        failure, output, overrun, runs = ran
         outcome = _classify(failure, output, ctx, overrun)
         row = {"cid": candidate["cid"], "outcome": outcome,
-               "failure": failure, "output": output}
+               "failure": failure and dict(failure), "output": list(output)}
         if outcome in ("crash", "wrong-output"):
-            row["schedule_runs"] = [list(run)
-                                    for run in scheduler.schedule.runs]
+            row["schedule_runs"] = [list(run) for run in runs]
         rows.append(row)
         if OBS.enabled:
             OBS.add("hunt.candidate_runs", 1)

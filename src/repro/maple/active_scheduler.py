@@ -11,6 +11,14 @@ priorities"):
 * a give-up budget bounds the delay, so an unrealizable candidate cannot
   livelock the run (Maple's timeout analog).
 
+Among the threads it does not hold, it rotates round-robin with quantum
+:data:`BASE_QUANTUM`.  So a forced run is round-robin until its first
+*hold*: the first pick at which a runnable thread sits at the second
+site while the first has not run.  If the first site runs before any
+hold, nothing is ever held and the whole run is round-robin.  Hunt runs
+that prefix once for the forced candidates it evaluates together and
+forks each at its first hold (:mod:`repro.analysis.hunt`).
+
 The scheduler watches its own iRoot: it notes a committed step on one
 of the two sites and settles the note at the next pick (or when the
 watch is read), counting it only if the thread retired an instruction.
@@ -27,13 +35,16 @@ from typing import Optional, Sequence
 from repro.maple.idioms import IRoot
 from repro.vm.scheduler import Scheduler
 
+#: Round-robin quantum among the threads not held back.
+BASE_QUANTUM = 20
+
 
 class ActiveScheduler(Scheduler):
     """Priority-controlled scheduler steering toward one iRoot."""
 
     def __init__(self, iroot: IRoot,
                  give_up_budget: int = 10_000,
-                 base_quantum: int = 20) -> None:
+                 base_quantum: int = BASE_QUANTUM) -> None:
         self.iroot = iroot
         self.give_up_budget = give_up_budget
         self.base_quantum = base_quantum

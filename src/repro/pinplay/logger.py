@@ -115,13 +115,14 @@ class LoggerTool(Tool):
 class FastRecorder(Tool):
     """The always-on record path: no per-instruction events at all.
 
-    Registered both as a machine tool (syscall results and thread
-    creations fire through the untraced syscall/lifecycle hooks) and as
-    the machine's *recorder* (:meth:`Machine.set_recorder`): the run
-    loop records the RLE schedule inline and calls :meth:`on_mem` only
-    for instructions that touched memory.  The mem-order algorithm is
-    the same as :class:`LoggerTool`'s, fed from the raw access lists
-    instead of events.
+    Registered as a machine tool (syscall results and thread creations
+    fire through the untraced syscall/lifecycle hooks), as the machine's
+    *recorder* (:meth:`Machine.set_recorder`) and as its schedule log
+    (:meth:`Machine.set_schedule_log`): the run loop records the RLE
+    schedule inline and calls :meth:`on_mem` only for instructions that
+    touched memory.  The mem-order algorithm is the same as
+    :class:`LoggerTool`'s, fed from the raw access lists instead of
+    events.
 
     With a :class:`~repro.pinplay.format_v2.PinballWriter` attached,
     full schedule/edge chunks are flushed to disk as they fill and a
@@ -163,6 +164,7 @@ class FastRecorder(Tool):
     def attach(self, machine: Machine, output_start: int) -> None:
         machine.add_tool(self)
         machine.set_recorder(self)
+        machine.set_schedule_log(self)
         self._output_start = output_start
 
     # -- feed from the machine loop -------------------------------------------
@@ -459,6 +461,7 @@ def record_from(machine: Machine, region: RegionSpec,
 
     if use_fast:
         machine.set_recorder(None)
+        machine.set_schedule_log(None)
         recorder.finish()
         schedule_runs = recorder.schedule_runs
         syscalls = recorder.syscalls

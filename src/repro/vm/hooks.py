@@ -121,18 +121,13 @@ class ListeningRecorder:
     """The inert half of the recorder protocol (:meth:`Machine.set_recorder
     <repro.vm.machine.Machine.set_recorder>`) for recorders that only
     listen to memory accesses (the online race detector, Maple's
-    profiler): no schedule is logged and no checkpoint taken.
-    Subclasses define ``on_mem`` and may declare ``watch_window``.
+    profiler): no checkpoint is taken.  Subclasses define ``on_mem``
+    and may declare ``watch_window``.
     """
 
     checkpoint_interval = 0
     next_checkpoint = 0
     steps_done = 0
-    _run_tid: Optional[int] = None
-    _run_count = 0
-
-    def append_run(self, tid: int, count: int) -> None:
-        pass
 
     def capture(self, machine, steps_done: int) -> None:
         pass

@@ -161,6 +161,8 @@ class Machine:
         self._last_tid: Optional[int] = None
         self._started = False
         self._cur_mem_writes: Optional[List[Tuple[int, Word]]] = None
+        #: The run loop's RLE schedule log (see set_schedule_log).
+        self._schedule_log = None
         #: Fast record path (see set_recorder): the recorder object and
         #: the address window its on_mem watches.
         self._recorder = None
@@ -211,16 +213,34 @@ class Machine:
             if type(t).on_thread_start is not Tool.on_thread_start
             or type(t).on_thread_exit is not Tool.on_thread_exit]
 
+    def set_schedule_log(self, log) -> None:
+        """Arm (or with ``None`` disarm) the run loop's RLE schedule log.
+
+        The loop hands ``log.append_run(tid, count)`` every finished run
+        of consecutive steps of one thread, blocked attempts included:
+        the schedule a :class:`~repro.vm.scheduler.ScheduleRecorder` fed
+        from ``on_step`` would hold.  The pending run lives in the loop
+        and is written back to ``log._run_tid``/``log._run_count`` when
+        :meth:`run` returns, so a log spans any number of runs.  Works
+        on both engines and beside a recorder; a log alone keeps the
+        untraced (or selective) table and costs one compare per batch.
+        """
+        if log is not None and self._excl_watch:
+            raise VMError("cannot log a schedule over installed exclusions")
+        self._schedule_log = log
+
     def set_recorder(self, recorder) -> None:
         """Arm (or with ``None`` disarm) the fast record path.
 
         Instead of building an :class:`InstrEvent` per retired
-        instruction, the run loop records the RLE schedule inline and
-        calls ``recorder.on_mem`` only for instructions that actually
-        touched memory — everything else executes through the untraced
-        micro-op closures.  Requires the predecoded engine; the recorder
-        must also be registered as a tool (for syscall/lifecycle events,
-        which fire in untraced mode anyway).
+        instruction, the run loop calls ``recorder.on_mem`` only for
+        instructions that actually touched memory — everything else
+        executes through the untraced micro-op closures — and takes the
+        recorder's checkpoints.  The schedule is the log's half
+        (:meth:`set_schedule_log`): the pinball recorder arms both.
+        Requires the predecoded engine; the recorder must also be
+        registered as a tool (for syscall/lifecycle events, which fire
+        in untraced mode anyway).
 
         A recorder may declare ``watch_window = (low, high)``, promising
         that ``on_mem`` ignores every address outside ``[low, high)``.
@@ -488,15 +508,26 @@ class Machine:
         # within a run).
         lease_ok = (not per_step and not self._step_tools
                     and type(self.scheduler).lease is not Scheduler.lease)
-        # Fast record path: RLE schedule recording is inlined into this
-        # loop (no per-step tool call), mem-order marking happens only on
+        # The RLE schedule log (set_schedule_log) is inlined into this
+        # loop on every path: one compare per batch (per step on the
+        # per-step path), no per-step call.  The pending run holds
+        # ``run_carry`` steps from earlier calls plus this call's steps
+        # since ``run_mark``.
+        log = self._schedule_log
+        run_tid = run_carry = run_mark = 0
+        run_append = None
+        if log is not None:
+            run_tid = log._run_tid
+            run_carry = log._run_count
+            run_append = log.append_run
+        # Fast record path: mem-order marking happens only on
         # instructions whose opcode can touch memory, and the recorder's
         # periodic checkpoint triggers on *step count* (global_seq can
         # jump past sleep fast-forwards and must not drive the interval).
         recorder = self._recorder
         rec_on = recorder is not None and not per_step
-        rec_tid = rec_count = rec_interval = rec_ckpt = rec_base = 0
-        rec_append = rec_on_mem = None
+        rec_interval = rec_ckpt = rec_base = 0
+        rec_on_mem = None
         uops_rec = rec_mr = rec_mw = None
         rec_lo = rec_hi = 0
         slot = -1
@@ -504,9 +535,6 @@ class Machine:
         uops_fast = self._uops_fast
         kinds = self._uops_kind
         if rec_on:
-            rec_tid = recorder._run_tid
-            rec_count = recorder._run_count
-            rec_append = recorder.append_run
             rec_on_mem = recorder.on_mem
             rec_interval = recorder.checkpoint_interval
             rec_base = recorder.steps_done
@@ -631,6 +659,14 @@ class Machine:
             self._last_tid = tid
             for tool in self._step_tools:
                 tool.on_step(tid)
+            if log is not None and tid != run_tid:
+                # A new RLE run starts (and the last one is handed over)
+                # before anything of this batch reaches the recorder.
+                if run_carry or steps > run_mark:
+                    run_append(run_tid, run_carry + steps - run_mark)
+                    run_carry = 0
+                run_mark = steps
+                run_tid = tid
             if per_step:
                 if not step_thread(thread):
                     idle += 1
@@ -640,19 +676,11 @@ class Machine:
             pc = thread.pc
             if not 0 <= pc < code_len:
                 raise VMError("pc out of range", tid=tid, pc=pc)
-            if rec_on:
-                # A new RLE run starts (and the last one is handed over)
-                # before anything of this batch reaches the recorder.
-                if tid != rec_tid:
-                    if rec_count:
-                        rec_append(rec_tid, rec_count)
-                        rec_count = 0
-                    rec_tid = tid
-                # Machine state here is "after rec_base + steps steps":
-                # the pending step has been scheduled but not executed.
-                if rec_interval and steps >= rec_ckpt:
-                    recorder.capture(self, rec_base + steps)
-                    rec_ckpt = recorder.next_checkpoint - rec_base
+            # Machine state here is "after rec_base + steps steps": the
+            # pending step has been scheduled but not executed.
+            if rec_interval and steps >= rec_ckpt:
+                recorder.capture(self, rec_base + steps)
+                rec_ckpt = recorder.next_checkpoint - rec_base
             # The batch: this step, plus the leased ones after it, short
             # of max_steps and of the recorder's next checkpoint.
             kind = kinds[pc]
@@ -710,7 +738,6 @@ class Machine:
                     if n > 1:
                         scheduler_commit_many(tid, n - 1)
                     raise
-                rec_count += n
             else:
                 try:
                     while True:
@@ -733,9 +760,10 @@ class Machine:
                 scheduler_commit_many(tid, n - 1)
                 batched += n - 1
             steps += n
+        if log is not None:
+            log._run_tid = run_tid
+            log._run_count = run_carry + steps - run_mark
         if rec_on:
-            recorder._run_tid = rec_tid
-            recorder._run_count = rec_count
             recorder.steps_done = rec_base + steps
         if obs_on:
             OBS.add("vm.runs", 1)

@@ -108,12 +108,16 @@ class Memory:
         """JSON-serializable state for region pinballs (pair lists, since
         JSON cannot carry int-keyed dicts).  The poison flag is only
         present when enabled, so pinballs of ordinary runs are
-        byte-identical to those recorded before the flag existed."""
+        byte-identical to those recorded before the flag existed.
+
+        Each free-list bucket keeps its order: :meth:`malloc` reuses a
+        bucket's last block, so a restored machine allocates as this
+        one would."""
         snap = {
             "words": sorted(self._words.items()),
             "heap_base": self.heap_base,
             "heap_next": self.heap_next,
-            "free": sorted((size, sorted(addrs))
+            "free": sorted((size, list(addrs))
                            for size, addrs in self._free.items()),
             "block_sizes": sorted(self._block_sizes.items()),
         }

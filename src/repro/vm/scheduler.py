@@ -211,10 +211,20 @@ class RecordedScheduler(Scheduler):
 
 
 class ScheduleRecorder:
-    """Accumulates an RLE schedule ``[(tid, count), ...]`` as steps happen."""
+    """Accumulates an RLE schedule ``[(tid, count), ...]`` as steps happen.
+
+    Fed one :meth:`record` per step (from a tool's ``on_step``), or
+    whole runs as a machine's schedule log
+    (:meth:`Machine.set_schedule_log
+    <repro.vm.machine.Machine.set_schedule_log>`), whose last run stays
+    pending until :meth:`finish`.
+    """
 
     def __init__(self) -> None:
         self.runs: List[Tuple[int, int]] = []
+        # Pending run, owned by the machine loop between run() calls.
+        self._run_tid: Optional[int] = None
+        self._run_count = 0
 
     def record(self, tid: int) -> None:
         if self.runs and self.runs[-1][0] == tid:
@@ -222,6 +232,17 @@ class ScheduleRecorder:
             self.runs[-1] = (last_tid, count + 1)
         else:
             self.runs.append((tid, 1))
+
+    def append_run(self, tid: int, count: int) -> None:
+        self.runs.append((tid, count))
+
+    def finish(self) -> List[Tuple[int, int]]:
+        """The runs, the machine loop's pending one flushed."""
+        if self._run_count:
+            self.runs.append((self._run_tid, self._run_count))
+            self._run_tid = None
+            self._run_count = 0
+        return self.runs
 
     def total(self) -> int:
         return sum(count for _, count in self.runs)

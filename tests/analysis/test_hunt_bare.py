@@ -1,9 +1,11 @@
 """Hunt's bare re-executions against the recorder-based pipeline.
 
 Candidates, the reference run and minimization attempts run with no
-recorder and no tool, attempts fork a base machine where they diverge,
-the Maple active scheduler watches its own iRoot and the profiler
-listens on the recorder protocol.  The oracle here is the pipeline
+recorder and no tool, a candidate's schedule comes from the run loop's
+log, forced candidates fork one round-robin base at their first hold,
+attempts fork a base machine where they diverge, the Maple active
+scheduler watches its own iRoot and the profiler listens on the
+recorder protocol.  The oracle here is the pipeline
 those replaced: every re-execution a ``record_region`` from region
 entry (behind a ``skip``, a ``record_from`` of the restored region
 snapshot, where every hunt run starts), forced candidates under an
@@ -28,9 +30,8 @@ from repro.pinplay.logger import record_from
 from repro.pinplay.pinball import state_hash
 from repro.pinplay.replayer import restore_machine
 from repro.serve import PinballStore, WorkerPool
-from repro.vm import Machine, RandomScheduler
+from repro.vm import Machine, RandomScheduler, RoundRobinScheduler
 from repro.vm.hooks import Tool
-from repro.vm.scheduler import Scheduler
 from repro.workloads import get_bug, get_pointer_bug
 
 from tests.support.progen import build_program, record_pinball
@@ -279,6 +280,108 @@ class TestAgainstRecordedPipeline:
         assert rows == _oracle_evaluate(program, candidates, ctx)
 
 
+class TestForcedForks:
+    """Forced candidates fork one round-robin base at their first hold."""
+
+    @pytest.mark.parametrize("name", ["pbzip2-0", "dangle_reuse-0"])
+    def test_oracle_comparison_forks(self, name, obs, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "predecoded")
+        _check_against_oracle(name, "v1", monkeypatch)
+        counters = obs.counters()
+        assert counters["hunt.forced_forks"] > 0
+        assert counters["hunt.forced_prefix_steps"] > 0
+
+    @pytest.mark.parametrize("engine", ["predecoded", "legacy"],
+                             indirect=True)
+    @pytest.mark.parametrize("name", ["pbzip2-0", "uaf_chase-0",
+                                      "atomicity", "spawned"])
+    def test_every_forced_run_equals_its_own(self, engine, name, obs):
+        # Outcome, output and whole schedule, benign runs included: a
+        # fork, or the base for a candidate that never holds, runs
+        # exactly what the candidate's own scheduler runs alone.
+        if name == "spawned":
+            # The second site is the entry of a thread main spawns in
+            # mid-quantum: the first hold leaves main eligible, so the
+            # fork picks by the round-robin position it carries over.
+            program = compile_source(SPAWNED, name="spawned")
+            pinball = record_region(program, RoundRobinScheduler(),
+                                    RegionSpec())
+            store = _pcs(program, "f", Opcode.ST)[0]
+            entry = program.functions["g"].entry
+            candidates = [
+                {"cid": "c000", "mode": "force", "first_pc": store,
+                 "first_write": True, "second_pc": entry,
+                 "second_write": False},
+                {"cid": "c001", "mode": "force", "first_pc": entry,
+                 "first_write": False, "second_pc": store,
+                 "second_write": True}]
+            ctx = hunt_mod.hunt_context(pinball, program)
+        elif name == "atomicity":
+            program = compile_source(ATOMICITY, name="atomicity")
+            pinball = record_region(program, RoundRobinScheduler(),
+                                    RegionSpec())
+            profiler = InterleavingProfiler(program)
+            observed = profiler.run(range(4), switch_prob=0.3)
+            roots = observed | {r.reversed() for r in observed}
+            candidates = [
+                {"cid": "c%03d" % index, "mode": "force",
+                 "first_pc": root.first.pc,
+                 "first_write": root.first.is_write,
+                 "second_pc": root.second.pc,
+                 "second_write": root.second.is_write}
+                for index, root in enumerate(sorted(
+                    roots, key=lambda r: (r.first.pc, r.second.pc,
+                                          r.first.is_write)))]
+            ctx = hunt_mod.hunt_context(pinball, program)
+        else:
+            make, budget, _minimize_budget = INPUTS[name]
+            program, pinball = make()
+            _races, candidates, ctx = scan(pinball, program, budget=budget,
+                                           profile_seeds=2)
+        forced = [c for c in candidates if c["mode"] == "force"]
+        assert len(forced) > 1
+        obs.reset()
+        got = hunt_mod._forced_runs(program, forced, ctx)
+        assert obs.counters()["hunt.forced_forks"] > 0
+        for candidate in forced:
+            alone = hunt_mod._logged(hunt_mod._restore(
+                program, hunt_mod._scheduler_for(candidate, ctx), ctx), ctx)
+            failure, output, overrun, runs = got[candidate["cid"]]
+            assert (failure, output, overrun) == alone[:3]
+            assert [list(run) for run in runs] == \
+                [list(run) for run in alone[3]], candidate["cid"]
+
+    def test_served_lanes_split_between_forced_candidates(self, tmp_path,
+                                                           obs):
+        bug = get_bug("pbzip2")
+        program = bug.build()
+        pinball, _seed = bug.expose(program)
+        _races, candidates, ctx = scan(pinball, program, budget=8,
+                                       profile_seeds=2)
+        split = 4
+        assert [c["mode"] for c in candidates[split - 1:split + 1]] == \
+            ["force", "force"]
+        want = evaluate(program, candidates, ctx)
+        assert want == _oracle_evaluate(program, candidates, ctx)
+        # Each lane runs its own base, and forks off it.
+        for chunk in (candidates[:split], candidates[split:]):
+            obs.reset()
+            assert evaluate(program, chunk, ctx) == \
+                [row for row in want if row["cid"] in
+                 {candidate["cid"] for candidate in chunk}]
+            assert obs.counters()["hunt.forced_forks"] > 0
+        store = PinballStore(str(tmp_path / "store"))
+        source_sha = store.put_source(bug.source(), program.name)
+        key = store.put_pinball(pinball, meta={"source_sha": source_sha})
+        params = {"pinball": key, "source": source_sha,
+                  "program_name": program.name}
+        with WorkerPool(store.root, workers=2, default_timeout=120) as pool:
+            lanes = [pool.call("hunt_eval", dict(params, candidates=chunk,
+                                                 ctx=ctx), timeout=120)
+                     for chunk in (candidates[:split], candidates[split:])]
+        assert [row for lane in lanes for row in lane["rows"]] == want
+
+
 class TestFork:
     @pytest.mark.parametrize("name", ["dangle_reuse-0", "pbzip2-length"])
     def test_fork_runs_on_like_its_base(self, name):
@@ -317,6 +420,23 @@ int main() {
     a = spawn(child, 0);
     join(a);
     return x;
+}
+"""
+
+SPAWNED = """
+int x; int y;
+int f(int unused) {
+    int i;
+    for (i = 0; i < 5; i = i + 1) { x = x + 1; }
+    return 0;
+}
+int g(int unused) { y = x; return 0; }
+int main() {
+    int a; int b;
+    a = spawn(f, 0);
+    b = spawn(g, 0);
+    join(a); join(b);
+    return y;
 }
 """
 
@@ -475,9 +595,3 @@ class TestRecordingsPerFinding:
         assert counters.get("vm.steps_traced", 0) == 0
         assert counters["vm.steps"] > 0
 
-
-def test_logged_scheduler_forwards_every_hook():
-    hooks = [name for name, value in vars(Scheduler).items()
-             if callable(value) and not name.startswith("_")]
-    logged = vars(hunt_mod._LoggedScheduler)
-    assert sorted(hooks) == sorted(h for h in hooks if h in logged)

@@ -157,13 +157,16 @@ class TestServedHunt:
         and identical to an undisturbed hunt."""
         _bug, program, pinball = exposed_uaf
         store, _key, _sha, _name = stocked
+        started = time.perf_counter()
         baseline = hunt(pinball, program, budget=4, profile_seeds=2,
                         minimize_budget=12)
+        elapsed = time.perf_counter() - started
         with WorkerPool(store.root, workers=1, default_timeout=180) as pool:
             victim_pid = pool.call("ping", {}, timeout=30)["pid"]
             future = pool.submit("hunt", self._hunt_params(stocked),
                                  timeout=180)
-            time.sleep(0.25)
+            # Half an in-process hunt in, on any machine: mid-hunt.
+            time.sleep(elapsed / 2)
             os.kill(victim_pid, signal.SIGKILL)
             served = future.result(timeout=180)
             assert pool.stats()["crashes"] >= 1
