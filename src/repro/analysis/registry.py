@@ -1,9 +1,10 @@
 """Whole-program CFG registry with lazy construction and refinement.
 
-The dynamic tracer asks, per executed branch, for the address at which the
+The slicing tracers ask, per executed branch, for the address at which the
 branch's control-dependence region ends; this registry owns one
-:class:`~repro.analysis.cfg.CFG` per function and routes indirect-jump
-observations to the right one.
+:class:`~repro.analysis.cfg.CFG` per function, routes indirect-jump
+observations to the right one, and memoizes the region ends between
+refinements.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ class CfgRegistry:
         self._cfgs: Dict[str, CFG] = {}
         #: Count of CFG edges added by dynamic refinement (for reporting).
         self.refinements = 0
+        #: branch pc -> region end, valid until the next refinement.
+        self._ends: Dict[int, Optional[int]] = {}
 
     def cfg_for_addr(self, addr: int) -> CFG:
         function = self.program.function_at(addr)
@@ -49,8 +52,16 @@ class CfgRegistry:
             ijmp_addr, target)
         if changed:
             self.refinements += 1
+            self._ends.clear()
         return changed
 
     def region_end_addr(self, branch_addr: int) -> Optional[int]:
-        """Where the control-dependence region of ``branch_addr`` ends."""
-        return self.cfg_for_addr(branch_addr).ipostdom_addr(branch_addr)
+        """Where the control-dependence region of ``branch_addr`` ends
+        (None: no post-dominator, the region closes at frame exit).
+        Memoized per pc; a refinement clears the memo, since a new edge
+        can move post-dominators anywhere in its CFG."""
+        ends = self._ends
+        if branch_addr not in ends:
+            ends[branch_addr] = \
+                self.cfg_for_addr(branch_addr).ipostdom_addr(branch_addr)
+        return ends[branch_addr]

@@ -451,18 +451,26 @@ def relog(region_pinball: Pinball, program: Program,
         OBS.add("pinplay.kept_instructions", kept_total)
         OBS.add("pinplay.excluded_instructions",
                 result.retired - kept_total)
+    steps = sum(count for _tid, count in schedule)
+    failure = region_pinball.meta.get("failure")
+    if failure:
+        # Numbered as the slice pinball's own replay reports it: that
+        # replay retires only the kept instructions, and the failing one
+        # is kept (it is its thread's last) and ends the schedule.
+        failure = dict(failure, seq=steps - 1,
+                       tindex=thread_kept[int(failure["tid"])] - 1)
     meta = {
         "kind": "slice",
         "parent_kind": region_pinball.kind,
         "skip": region_pinball.meta.get("skip"),
         "length": region_pinball.meta.get("length"),
-        "failure": region_pinball.meta.get("failure"),
+        "failure": failure,
         "thread_instr_counts": {str(tid): count
                                 for tid, count in thread_kept.items()},
         "region_instructions": region_pinball.total_instructions,
         "kept_instructions": kept_total,
         "excluded_runs": len(relogger.exclusions),
-        "schedule_steps": sum(count for _tid, count in schedule),
+        "schedule_steps": steps,
     }
     return Pinball(
         program_name=region_pinball.program_name,

@@ -265,8 +265,8 @@ def resolve_criterion(session: SlicingSession, params: dict):
     ``global_name`` (last write), a source ``line`` (last execution,
     optionally per-``tid``), ``last_read=true`` (the recording's final
     memory-reading instance — defined for *every* recording, which is
-    what the load generator slices on) — defaulting to the recorded
-    failure.
+    what the serve benchmarks' closed loop and perfbench's ``served``
+    mix slice on) — defaulting to the recorded failure.
     """
     instance = params.get("instance", params.get("criterion"))
     if instance is not None:

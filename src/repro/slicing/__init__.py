@@ -5,15 +5,21 @@ improvements:
 
 1. **Per-thread local traces** — :class:`~repro.slicing.tracer.TraceCollector`
    attaches to a pinball replay and records, per retired instruction, the
-   registers and memory addresses defined/used, the dynamic control-
-   dependence parent (Xin-Zhang online algorithm over refined-CFG
-   post-dominators), indirect-jump target observations (CFG refinement,
-   Section 5.1), and dynamically verified save/restore pairs
-   (Section 5.2).
+   registers and memory addresses defined/used, indirect-jump target
+   observations (CFG refinement, Section 5.1) with each branch's region
+   end, and dynamically verified save/restore pairs (Section 5.2).  When
+   the replay ends, the Xin-Zhang walk of
+   :mod:`~repro.slicing.control_dep` (over refined-CFG post-dominators)
+   fills in every instruction's dynamic control-dependence parent.
 2. **Combined global trace** — :func:`~repro.slicing.global_trace.merge_traces`
    topologically merges the per-thread traces honoring the shared-memory
    access-order edges stored in the pinball, clustering per-thread runs
    for LP locality exactly as the paper describes.
+
+The ``"reexec"`` index (:mod:`repro.slicing.reexec`) skips the traced
+replay: it runs the same walk, merge and save/restore verification over
+the pc streams of a selective replay, and re-replays checkpoint windows
+for memory addresses on demand.
 3. **Backward traversal** — :class:`~repro.slicing.slicer.BackwardSlicer`
    recovers the dynamic data and control dependences reachable from the
    criterion, skipping irrelevant trace blocks with the Limited

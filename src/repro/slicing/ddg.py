@@ -127,8 +127,8 @@ class DependenceIndex:
         total = len(order)
         columnar = getattr(order, "instance_at", None) is not None
         if columnar:
-            tids = order._tids
-            tindexes = order._tindexes
+            tids = order._tids.tolist()
+            tindexes = order._tindexes.tolist()
             columns = store._columns
         else:
             tids = [record.tid for record in order]
@@ -222,7 +222,7 @@ class DependenceIndex:
         chase = self._chase
 
         last_tid = None
-        statics_col = dyns_col = plan_map = None
+        statics_col = dyns_col = cd_col = gpos_col = plan_map = None
         for g in range(total):
             tid = tids[g]
             tindex = tindexes[g]
@@ -231,12 +231,16 @@ class DependenceIndex:
                     cols = columns[tid]
                     statics_col = cols.statics
                     dyns_col = cols.dyns
+                    cd_col = cols.cd
+                    gpos_col = cols.gpos
                     plan_map = plans_by_tid.get(tid)
                     if plan_map is None:
                         plan_map = plans_by_tid[tid] = {}
                     last_tid = tid
                 static = statics_col[tindex]
-                mdefs, muses, cd, value = dyns_col[tindex]
+                mdefs, muses, value = dyns_col[tindex]
+                cd = cd_col[tindex]
+                cd_gpos = gpos_col[cd] if cd >= 0 else -1
                 sid = id(static)
                 plan = plan_map.get(sid)
                 if plan is None:
@@ -247,6 +251,7 @@ class DependenceIndex:
             else:
                 record = order[g]
                 mdefs, muses, cd = record.mdefs, record.muses, record.cd
+                cd_gpos = store.get(cd).gpos if cd is not None else -1
                 value = record.values
                 plan_key = (tid, record.ruses, record.rdefs)
                 plan = row_plans.get(plan_key)
@@ -300,11 +305,7 @@ class DependenceIndex:
                     preds.append(dp[-1])
                     kinds.append(EDGE_DATA)
                     elocs.append(locid)
-            if cd is not None:
-                if columnar:
-                    cd_gpos = columns[cd[0]].gpos[cd[1]]
-                else:
-                    cd_gpos = store.get(cd).gpos
+            if cd_gpos >= 0:
                 preds.append(cd_gpos)
                 kinds.append(EDGE_CONTROL)
                 elocs.append(-1)

@@ -12,16 +12,18 @@ unsatisfied cross-thread dependency, then rotates — the locality heuristic
 the paper describes for the LP algorithm ("we always try to cluster traces
 for each thread to the extent possible").
 
-For a :class:`~repro.slicing.trace.ColumnarTraceStore` the merge runs
-entirely on (tid, tindex) indices and a per-thread ``gpos`` column — no
-:class:`~repro.slicing.trace.TraceRecord` is materialized.  The resulting
-``GlobalTrace.order`` is then a lazy sequence view that materializes (and
-caches, via the store) only the records a consumer actually touches.
+:func:`merge_order` is the one merge: it runs on thread lengths and edges
+alone, for the trace stores and for the re-execution index's pc streams.
+A :class:`~repro.slicing.trace.ColumnarTraceStore` adopts its position
+columns — no :class:`~repro.slicing.trace.TraceRecord` is materialized —
+and its ``GlobalTrace.order`` is a lazy sequence view that materializes
+(and caches, via the store) only the records a consumer actually touches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from array import array
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.pinplay.pinball import Pinball, PinballFormatError
 from repro.slicing.trace import ColumnarTraceStore, TraceRecord, TraceStore
@@ -77,14 +79,6 @@ class LazyOrderView:
                 self._tids[index], self._tindexes[index])
             self._cache[index] = record
         return record
-
-    def __iter__(self):
-        for index in range(len(self._tids)):
-            yield self[index]
-
-    def __reversed__(self):
-        for index in range(len(self._tids) - 1, -1, -1):
-            yield self[index]
 
 
 OrderSeq = Union[List[TraceRecord], LazyOrderView]
@@ -160,92 +154,93 @@ def build_incoming(edges: Sequence[Edge], lengths: Dict[int, int],
     return incoming
 
 
-def cycle_error(source: str, cursor: Dict[int, int]) -> GlobalTraceError:
-    return GlobalTraceError(
-        "%s: malformed mem_order (the access-order edges form a cycle; "
-        "remaining cursors: %r)" % (source, cursor))
+def merge_order(lengths: Dict[int, int], edges: Sequence[Edge],
+                source: str, gather: Optional[Dict[int, array]] = None
+                ) -> Tuple[array, array, Dict[int, array], Optional[array]]:
+    """The merged order of per-thread traces of ``lengths`` (tid -> trace
+    length) honoring ``edges``: its tid and tindex columns, each
+    thread's position column (tindex -> gpos), and — with ``gather``, a
+    per-thread column such as a pc stream — that column laid out in
+    merged order (else None).
+
+    Each edge ``(from_tid, from_tindex, to_tid, to_tindex, addr, kind)``
+    constrains the *from* instance to precede the *to* instance.
+    Threads are visited round-robin in tid order; each visit emits the
+    thread's longest run whose every instruction has its incoming edges
+    satisfied, so only the instructions that are an edge's *to* end are
+    looked at one by one.  Malformed edges raise
+    :class:`GlobalTraceError` naming ``source``, the pinball they were
+    read from.
+    """
+    tids = sorted(lengths)
+    incoming = build_incoming(edges, lengths, source)
+    #: Per thread, the tindexes that carry incoming edges, last first.
+    gated: Dict[int, List[int]] = {tid: [] for tid in tids}
+    for tid, tindex in incoming:
+        gated[tid].append(tindex)
+    for gates in gated.values():
+        gates.sort(reverse=True)
+    cursor: Dict[int, int] = {tid: 0 for tid in tids}
+    total = sum(lengths.values())
+    # 32-bit columns: positions and tindexes are bounded by the region's
+    # step count.
+    order_tids = array("i")
+    order_tindexes = array("i")
+    positions = {tid: array("i", bytes(4 * lengths[tid])) for tid in tids}
+    gathered = (None if gather is None
+                else array(gather[tids[0]].typecode if tids else "q"))
+    emitted = 0
+    current = 0
+    stalled = 0
+    while emitted < total:
+        tid = tids[current]
+        start = cursor[tid]
+        end = lengths[tid]
+        gates = gated[tid]
+        while gates:
+            gate = gates[-1]
+            # Rows before the gate run in this visit, so the thread's own
+            # cursor stands at the gate when its edges are checked.
+            if any((gate if from_tid == tid else cursor[from_tid])
+                   <= from_tindex
+                   for from_tid, from_tindex in incoming[(tid, gate)]):
+                end = gate
+                break
+            gates.pop()
+        if end > start:
+            count = end - start
+            order_tids.extend(array("i", (tid,)) * count)
+            order_tindexes.extend(range(start, end))
+            positions[tid][start:end] = array(
+                "i", range(emitted, emitted + count))
+            if gathered is not None:
+                gathered.extend(gather[tid][start:end])
+            cursor[tid] = end
+            emitted += count
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= len(tids):
+                raise GlobalTraceError(
+                    "%s: malformed mem_order (the access-order edges form "
+                    "a cycle; remaining cursors: %r)" % (source, cursor))
+        current = (current + 1) % len(tids)
+    return order_tids, order_tindexes, positions, gathered
 
 
 def merge_traces(store: Union[TraceStore, ColumnarTraceStore],
                  edges: Sequence[Edge],
                  source: str = Pinball._source) -> GlobalTrace:
-    """Topologically merge per-thread traces honoring ``edges``.
-
-    Each edge ``(from_tid, from_tindex, to_tid, to_tindex, addr, kind)``
-    constrains the *from* instance to precede the *to* instance.
-    Malformed edges raise :class:`GlobalTraceError` naming ``source``,
-    the pinball they were read from.
-    """
+    """Merge ``store``'s per-thread traces (:func:`merge_order`) and fill
+    in every row's global position."""
+    lengths = {tid: store.thread_length(tid) for tid in store.threads()}
+    tids, tindexes, positions, _ = merge_order(lengths, edges, source)
     if isinstance(store, ColumnarTraceStore):
-        return _merge_columnar(store, edges, source)
-    tids = store.threads()
-    lengths: Dict[int, int] = {tid: store.thread_length(tid) for tid in tids}
-    incoming = build_incoming(edges, lengths, source)
-    cursor: Dict[int, int] = {tid: 0 for tid in tids}
-    total = sum(lengths.values())
-    order: List[TraceRecord] = []
-    current = 0
-    stalled = 0
-    while len(order) < total:
-        tid = tids[current]
-        emitted_here = 0
-        while cursor[tid] < lengths[tid]:
-            deps = incoming.get((tid, cursor[tid]))
-            if deps is not None and any(
-                    cursor[from_tid] <= from_tindex
-                    for from_tid, from_tindex in deps):
-                break
-            record = store.by_thread[tid][cursor[tid]]
-            record.gpos = len(order)
-            order.append(record)
-            cursor[tid] += 1
-            emitted_here += 1
-        if emitted_here:
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= len(tids):
-                raise cycle_error(source, cursor)
-        current = (current + 1) % len(tids)
-    return GlobalTrace(order, store)
-
-
-def _merge_columnar(store: ColumnarTraceStore, edges: Sequence[Edge],
-                    source: str) -> GlobalTrace:
-    """Index-only merge: identical emission order, zero materialization."""
-    tids = store.threads()
-    lengths: Dict[int, int] = {tid: store.thread_length(tid) for tid in tids}
-    incoming = build_incoming(edges, lengths, source)
-    cursor: Dict[int, int] = {tid: 0 for tid in tids}
-    total = sum(lengths.values())
-    order_tids: List[int] = []
-    order_tindexes: List[int] = []
-    set_gpos = store.set_gpos
-    current = 0
-    stalled = 0
-    while len(order_tids) < total:
-        tid = tids[current]
-        emitted_here = 0
-        length = lengths[tid]
-        while cursor[tid] < length:
-            position = cursor[tid]
-            if incoming:
-                deps = incoming.get((tid, position))
-                if deps is not None and any(
-                        cursor[from_tid] <= from_tindex
-                        for from_tid, from_tindex in deps):
-                    break
-            set_gpos(tid, position, len(order_tids))
-            order_tids.append(tid)
-            order_tindexes.append(position)
-            cursor[tid] = position + 1
-            emitted_here += 1
-        if emitted_here:
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= len(tids):
-                raise cycle_error(source, cursor)
-        current = (current + 1) % len(tids)
-    return GlobalTrace(LazyOrderView(store, order_tids, order_tindexes),
-                       store)
+        store.adopt_positions(positions)
+        return GlobalTrace(LazyOrderView(store, tids, tindexes), store)
+    for tid, records in store.by_thread.items():
+        for record, gpos in zip(records, positions[tid]):
+            record.gpos = gpos
+    by_thread = store.by_thread
+    return GlobalTrace([by_thread[tid][tindex]
+                        for tid, tindex in zip(tids, tindexes)], store)

@@ -11,11 +11,13 @@ queries actually touch, by leaning on the pinball's determinism twice:
   *selective-trace* VM mode (:func:`repro.vm.microops.decode_selective`,
   ``"flow"`` sink) records only the per-thread pc streams plus the few
   execution-time facts static analysis cannot recover — branch region
-  ends under live CFG refinement, per-instance syscall result presence,
-  dynamically verified save/restore pairs (reusing
-  :class:`~repro.slicing.save_restore.SaveRestoreDetector` verbatim via
-  shim events), and a per-window *written-address directory* (the set of
-  memory addresses each window writes, no order or attribution).
+  ends under live CFG refinement
+  (:class:`~repro.slicing.control_dep.RegionEnds`), per-instance syscall
+  result presence, dynamically verified save/restore pairs (the
+  :class:`~repro.slicing.save_restore.SaveRestoreDetector` the traced
+  replay feeds, fed the same calls), and a per-window *written-address
+  directory* (the set of memory addresses each window writes, no order
+  or attribution).
   Everything else about an instruction — its register
   defs/uses, line, function — is a pure function of the static program
   and is derived per *pc*, not per instance.  The pass also cuts the
@@ -33,11 +35,14 @@ queries actually touch, by leaning on the pinball's determinism twice:
   holding the producer — and a read of pre-region state resolves to
   "unresolved" from set membership alone, with no re-replay at all.
 
-Discovered dependences are memoized into a sparse *partial DDG* whose
-per-node rows replicate :class:`~repro.slicing.ddg.DependenceIndex`'s
-build exactly (same producer resolution, same save/restore bypass chase,
-same control-dependence replication of
-:class:`~repro.slicing.control_dep.ControlDepTracker`, same closure memo
+At session open the pc streams are merged into the global order
+(:func:`~repro.slicing.global_trace.merge_order`, the materialized
+engines' merge) and walked for control dependences
+(:class:`~repro.slicing.control_dep.ControlDepWalk`, the materialized
+engines' walk).  Discovered dependences are memoized into a sparse
+*partial DDG* whose per-node rows replicate
+:class:`~repro.slicing.ddg.DependenceIndex`'s build exactly (same
+producer resolution, same save/restore bypass chase, same closure memo
 and slice LRU), so repeated queries converge to ddg-class latency while
 the first query never pays the full-trace build.  Byte-identity of the
 resulting slices is asserted by
@@ -48,7 +53,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import config
@@ -59,7 +64,9 @@ from repro.obs.registry import OBS
 from repro.pinplay.format_v2 import EmbeddedCheckpoint, capture_state
 from repro.pinplay.pinball import Pinball
 from repro.pinplay.replayer import resume_machine
-from repro.slicing.global_trace import build_incoming, cycle_error
+from repro.slicing.control_dep import (ControlDepWalk, RegionEnds,
+                                       pc_classes)
+from repro.slicing.global_trace import merge_order
 from repro.slicing.options import SliceOptions
 from repro.slicing.save_restore import SaveRestoreDetector
 from repro.slicing.slice import DynamicSlice, SliceColumns
@@ -68,44 +75,13 @@ from repro.slicing.tracer import prime_jump_tables
 from repro.vm.machine import Machine
 from repro.vm.microops import decode_selective, program_effects
 
-#: Per-pc instruction classes driving the offline control-dep replication.
-_PLAIN, _BRANCH, _CALL, _RET, _SYS = 0, 1, 2, 3, 4
-
-#: ``br_end`` encodings for region ends that are not addresses.
-_END_NONE = -1        # post-dominator unknown: region closes at frame exit
-_END_NO_TARGETS = -2  # IJMP with no known targets: no region at all
-
 #: Most windows the v1 fallback synthesizes checkpoints for — bounds the
 #: scaffold's resident snapshot memory for pinballs recorded without
 #: embedded checkpoints.
 _MAX_SYNTH_WINDOWS = 16
 
-class _ShimEvent:
-    """The slice of :class:`~repro.vm.hooks.InstrEvent` the save/restore
-    detector reads, built from flow-sink callbacks."""
-
-    __slots__ = ("tid", "tindex", "addr", "instr", "frame_id",
-                 "mem_writes", "mem_reads")
-
-    def __init__(self, tid, tindex, addr, instr, frame_id,
-                 mem_writes, mem_reads):
-        self.tid = tid
-        self.tindex = tindex
-        self.addr = addr
-        self.instr = instr
-        self.frame_id = frame_id
-        self.mem_writes = mem_writes
-        self.mem_reads = mem_reads
-
-
-class _RetMarker:
-    """Stand-in instruction for RET shim events: the detector only
-    inspects ``instr.op`` on that path."""
-    op = Opcode.RET
-
-
-_RET_INSTR = _RetMarker()
 _NO_PAIRS = ()
+_SYS_R0 = ("r0",)
 
 
 class _ScaffoldSink:
@@ -122,17 +98,17 @@ class _ScaffoldSink:
             program, options.max_save if options.prune_save_restore else 0)
         self.save_addrs = self.detector.save_addrs
         self.restore_addrs = self.detector.restore_addrs
-        self._instructions = program.instructions
-        self._refine = options.refine_cfg
+        #: Per-thread branch region ends, one entry per BR/BRZ/IJMP retire
+        #: in program order (consumed positionally by the walk).
+        self.region_ends = RegionEnds(self.registry)
+        self.on_branch = self.region_ends.on_branch
+        self.on_ijmp = self.region_ends.on_ijmp
+        self.on_ret = self.detector.on_ret
         #: pcs fit a 16-bit column for every realistic program; fall back
         #: to 32-bit only when the code segment is genuinely that large.
         self._pc_typecode = (
             "H" if len(program.instructions) <= 0xFFFF else "I")
         self.pcs: Dict[int, array] = {}
-        #: Per-thread branch region ends, one entry per BR/BRZ/IJMP retire
-        #: in program order (consumed positionally by the offline
-        #: control-dep replication).
-        self.br_end: Dict[int, array] = {}
         #: Per-thread SYS result flags, one per SYS retire in order.
         self.sys_flag: Dict[int, bytearray] = {}
         #: Per-window written-address sets (no order, no attribution
@@ -147,11 +123,6 @@ class _ScaffoldSink:
     def begin_window(self) -> None:
         self._cur_written = set()
         self.window_written.append(self._cur_written)
-        #: region_end_addr per pc, valid for one refinement epoch — the
-        #: tracer recomputes per event, so a refinement mid-run must
-        #: invalidate what we cached before it.
-        self._end_cache: Dict[int, int] = {}
-        self._end_epoch = -1
 
     # -- callbacks (hot) ---------------------------------------------------
 
@@ -159,21 +130,8 @@ class _ScaffoldSink:
         col = self.pcs.get(tid)
         if col is None:
             col = self.pcs[tid] = array(self._pc_typecode)
-            self.br_end[tid] = array("q")
             self.sys_flag[tid] = bytearray()
         col.append(pc)
-
-    def on_branch(self, tid: int, pc: int) -> None:
-        self.br_end[tid].append(self._end_of(pc))
-
-    def on_ijmp(self, tid: int, pc: int, target: int) -> None:
-        registry = self.registry
-        if self._refine:
-            registry.observe_indirect_jump(pc, target)
-        if registry.cfg_for_addr(pc).indirect_targets.get(pc):
-            self.br_end[tid].append(self._end_of(pc))
-        else:
-            self.br_end[tid].append(_END_NO_TARGETS)
 
     def on_sys(self, tid: int, wrote_r0: bool) -> None:
         self.sys_flag[tid].append(1 if wrote_r0 else 0)
@@ -184,36 +142,13 @@ class _ScaffoldSink:
     def on_save(self, tid: int, pc: int, stack_addr: int, value,
                 frame_id: int) -> None:
         self._cur_written.add(stack_addr)
-        self.detector.on_event(_ShimEvent(
-            tid, len(self.pcs[tid]) - 1, pc, self._instructions[pc],
-            frame_id, ((stack_addr, value),), _NO_PAIRS))
+        self.detector.on_save(tid, len(self.pcs[tid]) - 1, pc, stack_addr,
+                              value, frame_id)
 
     def on_restore(self, tid: int, pc: int, stack_addr: int, value,
                    frame_id: int) -> None:
-        self.detector.on_event(_ShimEvent(
-            tid, len(self.pcs[tid]) - 1, pc, self._instructions[pc],
-            frame_id, _NO_PAIRS, ((stack_addr, value),)))
-
-    def on_ret(self, tid: int, frame_id: int) -> None:
-        # Only the RET branch of the detector fires for this event shape
-        # (addr -1 is in no candidate set); it drops the frame's open
-        # saves, exactly as the traced path does for every RET.
-        self.detector.on_event(_ShimEvent(
-            tid, -1, -1, _RET_INSTR, frame_id, _NO_PAIRS, _NO_PAIRS))
-
-    # -- helpers -----------------------------------------------------------
-
-    def _end_of(self, pc: int) -> int:
-        registry = self.registry
-        if registry.refinements != self._end_epoch:
-            self._end_cache.clear()
-            self._end_epoch = registry.refinements
-        end = self._end_cache.get(pc, _END_NO_TARGETS - 1)
-        if end == _END_NO_TARGETS - 1:
-            real = registry.region_end_addr(pc)
-            end = _END_NONE if real is None else real
-            self._end_cache[pc] = end
-        return end
+        self.detector.on_restore(tid, len(self.pcs[tid]) - 1, pc,
+                                 stack_addr, value, frame_id)
 
 
 class _MemSink:
@@ -356,8 +291,8 @@ class ReexecIndex:
         machine, injector = resume_machine(pinball, self.program,
                                            engine=self.engine)
         machine.set_selective(self._flow_table)
-        #: Pre-run frame-id state per thread, seeding the offline
-        #: control-dep replication.  Threads spawned mid-region start
+        #: Pre-run frame-id state per thread, seeding the control-
+        #: dependence walk.  Threads spawned mid-region start
         #: with one frame (id 0) and next id 1, matching create_thread.
         self._init_frames = {
             tid: (tuple(f.frame_id for f in thread.frames),
@@ -417,8 +352,8 @@ class ReexecIndex:
         reads_mem = bytearray()
         memop = bytearray()
         lines = []
-        # decode_selective has rejected undecodable programs.  SYS lists
-        # its no-result variant; the per-instance r0 def is applied from
+        # decode_selective has rejected undecodable programs.  A SYS
+        # plan's defs are None: its per-instance r0 def is applied from
         # the scaffold's flag stream.
         for instr, effects in zip(self.program.instructions,
                                   program_effects(self.program)):
@@ -426,22 +361,12 @@ class ReexecIndex:
                           if track_sp or name != "sp")
             ruses = tuple(name for name in effects.reads
                           if track_sp or name != "sp")
-            op = instr.op
-            if op == Opcode.BR or op == Opcode.BRZ or op == Opcode.IJMP:
-                klass = _BRANCH
-            elif op == Opcode.CALL or op == Opcode.ICALL:
-                klass = _CALL
-            elif op == Opcode.RET:
-                klass = _RET
-            elif op == Opcode.SYS:
-                klass = _SYS
-            else:
-                klass = _PLAIN
-            plans.append((instr.line, instr.func, rdefs, ruses, klass))
+            plans.append((None if instr.op == Opcode.SYS else rdefs, ruses))
             reads_mem.append(effects.reads_mem)
             memop.append(effects.reads_mem or effects.writes_mem)
             lines.append(instr.line)
         self._plans = plans
+        self._classes = pc_classes(self.program)
         self._reads_mem = reads_mem
         self._memop = memop
         self._line_by_pc = lines
@@ -449,7 +374,7 @@ class ReexecIndex:
     # -- prepare: merge + offline scaffolding ------------------------------
 
     def prepare(self) -> None:
-        """Merge the pc streams into the global order and replicate the
+        """Merge the pc streams into the global order and run the
         offline analyses (control deps, register def chains, bypass
         redirects).  Idempotent; called once per session."""
         if self._prepared:
@@ -477,119 +402,38 @@ class ReexecIndex:
         self._prepared = True
 
     def _merge(self) -> None:
-        """Replicates :func:`~repro.slicing.global_trace._merge_columnar`
-        over the scaffold's pc streams — identical emission order, so
+        """Merge the pc streams with the materialized engines' merge —
         every gpos here equals the materialized pipeline's gpos."""
         pcs = self._pcs
-        source = self.pinball._source
-        tids = sorted(pcs)
-        lengths = {tid: len(pcs[tid]) for tid in tids}
-        incoming = build_incoming(self.pinball.mem_order, lengths, source)
-        cursor = {tid: 0 for tid in tids}
-        total = sum(lengths.values())
-        # 32-bit columns: positions/tindexes are bounded by the region's
-        # step count, which sits far under 2**31 for anything the ddg
-        # engine could materialize either.
-        order_tids = array("h")
-        order_tindexes = array("i")
-        order_pcs = array(self._sink._pc_typecode)
-        gpos = {tid: array("i", bytes(4 * lengths[tid])) for tid in tids}
-        current = 0
-        stalled = 0
-        while len(order_tids) < total:
-            tid = tids[current]
-            emitted_here = 0
-            length = lengths[tid]
-            col = gpos[tid]
-            pc_col = pcs[tid]
-            while cursor[tid] < length:
-                position = cursor[tid]
-                if incoming:
-                    deps = incoming.get((tid, position))
-                    if deps is not None and any(
-                            cursor[from_tid] <= from_tindex
-                            for from_tid, from_tindex in deps):
-                        break
-                col[position] = len(order_tids)
-                order_tids.append(tid)
-                order_tindexes.append(position)
-                order_pcs.append(pc_col[position])
-                cursor[tid] = position + 1
-                emitted_here += 1
-            if emitted_here:
-                stalled = 0
-            else:
-                stalled += 1
-                if stalled >= len(tids):
-                    raise cycle_error(source, cursor)
-            current = (current + 1) % len(tids)
-        self._order_tids = order_tids
-        self._order_tindexes = order_tindexes
-        self._order_pcs = order_pcs
-        self._gpos = gpos
+        (self._order_tids, self._order_tindexes, self._gpos,
+         self._order_pcs) = merge_order(
+            {tid: len(col) for tid, col in pcs.items()},
+            self.pinball.mem_order, self.pinball._source, gather=pcs)
 
     def _offline_pass(self) -> None:
-        """One pass per thread over the pc stream: replicate
-        :class:`~repro.slicing.control_dep.ControlDepTracker` (frame ids
-        simulated from the captured initial state, branch region ends
-        consumed positionally) and build the per-(tid, register)
+        """Per thread: the control-dependence walk over the pc stream
+        (frame ids simulated from the scaffold's entry state, branch
+        region ends consumed positionally), then the per-(tid, register)
         ascending-tindex definition lists."""
-        sink = self._sink
+        ends = self._sink.region_ends.by_thread
         plans = self._plans
         cds: Dict[int, array] = {}
         reg_defs: Dict[int, Dict[str, array]] = {}
         for tid, col in self._pcs.items():
-            ends = sink.br_end[tid]
-            flags = sink.sys_flag[tid]
-            frames_init, next_id = self._init_frames.get(tid, ((0,), 1))
-            frames = list(frames_init)
-            stack: List[list] = []   # [frame_id, inst_tindex, end_addr]
-            cd = array("i")
-            defs: Dict[str, array] = {}
-            bi = 0
-            si = 0
+            walk = ControlDepWalk(*self._init_frames.get(tid, ((0,), 1)))
+            walk.extend(self._classes, col, ends.get(tid, ()))
+            cds[tid] = walk.cd
+            flags = iter(self._sink.sys_flag[tid])
+            defs: Dict[str, array] = defaultdict(lambda: array("i"))
             for tindex, pc in enumerate(col):
-                _line, _func, rdefs, _ruses, klass = plans[pc]
-                frame = frames[-1] if frames else -1
-                while (stack and stack[-1][0] == frame
-                       and stack[-1][2] == pc):
-                    stack.pop()
-                cd.append(stack[-1][1] if stack else -1)
-                if klass == _PLAIN:
-                    pass
-                elif klass == _BRANCH:
-                    end = ends[bi]
-                    bi += 1
-                    if end != _END_NO_TARGETS:
-                        if (stack and stack[-1][0] == frame
-                                and stack[-1][2] == end):
-                            stack[-1] = [frame, tindex, end]
-                        else:
-                            stack.append([frame, tindex, end])
-                elif klass == _CALL:
-                    callee = next_id
-                    next_id += 1
-                    frames.append(callee)
-                    stack.append([callee, tindex, _END_NONE])
-                elif klass == _RET:
-                    while stack and stack[-1][0] == frame:
-                        stack.pop()
-                    if frames:
-                        frames.pop()
-                else:   # _SYS: r0 def present iff a result was written
-                    if flags[si]:
-                        d = defs.get("r0")
-                        if d is None:
-                            d = defs["r0"] = array("i")
-                        d.append(tindex)
-                    si += 1
-                    continue
+                rdefs = plans[pc][0]
+                if rdefs is None:
+                    # SYS: r0 def present iff a result was written.
+                    if not next(flags):
+                        continue
+                    rdefs = _SYS_R0
                 for name in rdefs:
-                    d = defs.get(name)
-                    if d is None:
-                        d = defs[name] = array("i")
-                    d.append(tindex)
-            cds[tid] = cd
+                    defs[name].append(tindex)
             reg_defs[tid] = defs
         self._cd = cds
         self._reg_defs = reg_defs
@@ -782,7 +626,7 @@ class ReexecIndex:
         tid = self._order_tids[g]
         tindex = self._order_tindexes[g]
         pc = self._pcs[tid][tindex]
-        _line, _func, _rdefs, ruses, _klass = self._plans[pc]
+        ruses = self._plans[pc][1]
         gpos = self._gpos
         # Edges are stored columnar — predecessor gpos plus the dependence
         # location (None marks the control edge); slices read them in

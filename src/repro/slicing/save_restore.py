@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.isa.instructions import Opcode, Reg
 from repro.isa.program import Function, Program
-from repro.vm.hooks import InstrEvent
 
 Instance = Tuple[int, int]
 
@@ -90,15 +89,23 @@ def _scan_restores(program: Program, function: Function,
 
 
 class SaveRestoreDetector:
-    """Verifies candidate pairs dynamically as the trace is collected."""
+    """Verifies candidate pairs dynamically as the trace is collected.
+
+    Both slicing engines make the same calls, and only at candidate pcs
+    and returns; ``frame_id`` is the frame before the instruction ran
+    (:attr:`InstrEvent.frame_id <repro.vm.hooks.InstrEvent.frame_id>`).
+    """
 
     def __init__(self, program: Program, max_save: int) -> None:
-        self.max_save = max_save
         if max_save > 0:
             self.save_addrs, self.restore_addrs = find_static_candidates(
                 program, max_save)
         else:
             self.save_addrs, self.restore_addrs = set(), set()
+        instructions = program.instructions
+        #: Candidate pc -> the register it saves or restores.
+        self._reg = {addr: instructions[addr].operands[0].name
+                     for addr in self.save_addrs | self.restore_addrs}
         #: (tid, frame_id) -> reg -> (save_tindex, stack_addr, value)
         self._open: Dict[Tuple[int, int], Dict[str, Tuple[int, int, object]]] = {}
         #: restore instance -> matching save instance.
@@ -106,36 +113,24 @@ class SaveRestoreDetector:
         #: All instances participating in a verified pair (for reporting).
         self.pair_count = 0
 
-    def on_event(self, event: InstrEvent) -> None:
-        if not self.max_save:
-            return
-        addr = event.addr
-        if addr in self.save_addrs and event.instr.op == Opcode.PUSH:
-            reg = event.instr.operands[0].name
-            if not event.mem_writes:
-                return
-            stack_addr, value = event.mem_writes[0]
-            key = (event.tid, event.frame_id)
-            self._open.setdefault(key, {})[reg] = (
-                event.tindex, stack_addr, value)
-        elif addr in self.restore_addrs and event.instr.op == Opcode.POP:
-            reg = event.instr.operands[0].name
-            if not event.mem_reads:
-                return
-            stack_addr, value = event.mem_reads[0]
-            key = (event.tid, event.frame_id)
-            frame_saves = self._open.get(key)
-            if not frame_saves:
-                return
-            saved = frame_saves.get(reg)
-            if saved is None:
-                return
-            save_tindex, save_stack_addr, save_value = saved
-            if save_stack_addr == stack_addr and save_value == value:
-                self.verified[(event.tid, event.tindex)] = (
-                    event.tid, save_tindex)
-                self.pair_count += 1
-                del frame_saves[reg]
-        elif event.instr.op == Opcode.RET:
-            # Frame is gone; drop its open saves.
-            self._open.pop((event.tid, event.frame_id), None)
+    def on_save(self, tid: int, tindex: int, pc: int, stack_addr: int,
+                value, frame_id: int) -> None:
+        """Save candidate ``pc`` copied its register to ``stack_addr``."""
+        self._open.setdefault((tid, frame_id), {})[self._reg[pc]] = (
+            tindex, stack_addr, value)
+
+    def on_restore(self, tid: int, tindex: int, pc: int, stack_addr: int,
+                   value, frame_id: int) -> None:
+        """Restore candidate ``pc`` read ``value`` from ``stack_addr``."""
+        frame_saves = self._open.get((tid, frame_id))
+        reg = self._reg[pc]
+        saved = frame_saves.get(reg) if frame_saves else None
+        if (saved is not None and saved[1] == stack_addr
+                and saved[2] == value):
+            self.verified[(tid, tindex)] = (tid, saved[0])
+            self.pair_count += 1
+            del frame_saves[reg]
+
+    def on_ret(self, tid: int, frame_id: int) -> None:
+        """The frame is gone; drop its open saves."""
+        self._open.pop((tid, frame_id), None)

@@ -149,7 +149,8 @@ class BackwardSlicer:
                     tid, tindex = inst
                     cols = columns[tid]
                     addr, line, func, _rdefs, ruses = cols.statics[tindex]
-                    _mdefs, muses, cd, values = cols.dyns[tindex]
+                    _mdefs, muses, values = cols.dyns[tindex]
+                    cd = cols.cd[tindex]
                     nodes[inst] = SliceNode(tid, tindex, addr, line, func,
                                             values)
                     gpos = cols.gpos[tindex]
@@ -159,7 +160,8 @@ class BackwardSlicer:
                             wanted[loc] = [(gpos, inst)]
                         else:
                             entries.append((gpos, inst))
-                    if cd is not None:
+                    if cd >= 0:
+                        cd = (tid, cd)
                         edges.append((inst, cd, "control", None))
                         stack.append(cd)
 

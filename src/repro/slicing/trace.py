@@ -23,7 +23,8 @@ Two storage layouts exist:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Instance = Tuple[int, int]          # (tid, tindex)
 Location = tuple                     # ("r", tid, name) | ("m", addr)
@@ -139,18 +140,20 @@ class _ThreadColumns:
     Each row is split into a *static* part — ``(addr, line, func, rdefs,
     ruses)``, a pure function of the instruction (modulo the SYS r0 def),
     interned by the tracer so a pc executed a million times contributes
-    one tuple — and a *dynamic* part ``(mdefs, muses, cd, values)`` built
-    per retired instruction.  Four appends per instruction instead of one
-    per field."""
+    one tuple — and a *dynamic* part ``(mdefs, muses, values)`` built
+    per retired instruction.  The controlling instruction index (``cd``,
+    -1 for none; control stays inside a thread) and the global position
+    (``gpos``) columns are filled in by the walk and the merge."""
 
-    __slots__ = ("statics", "dyns", "gpos", "cache")
+    __slots__ = ("statics", "dyns", "cd", "gpos", "cache")
 
     def __init__(self) -> None:
         #: Interned (addr, line, func, rdefs, ruses) per row.
         self.statics: List[tuple] = []
-        #: (mdefs, muses, cd, values) per row.
+        #: (mdefs, muses, values) per row.
         self.dyns: List[tuple] = []
-        self.gpos: List[int] = []
+        self.cd: Sequence[int] = array("i")
+        self.gpos: Sequence[int] = array("i")
         #: Lazily materialized TraceRecord views (None until first access).
         self.cache: List[Optional[TraceRecord]] = []
 
@@ -216,13 +219,12 @@ class ColumnarTraceStore:
         return cols
 
     def append_row(self, cols: _ThreadColumns, static: tuple,
-                   mdefs: tuple, muses: tuple, cd: Optional[Instance],
+                   mdefs: tuple, muses: tuple,
                    values: Optional[dict]) -> None:
         """Append one row.  ``static`` is the interned
         ``(addr, line, func, rdefs, ruses)`` tuple for the instruction."""
         cols.statics.append(static)
-        cols.dyns.append((mdefs, muses, cd, values))
-        cols.gpos.append(-1)
+        cols.dyns.append((mdefs, muses, values))
         cols.cache.append(None)
 
     # -- location interning ---------------------------------------------------
@@ -249,14 +251,16 @@ class ColumnarTraceStore:
             record = TraceRecord.__new__(TraceRecord)
             (record.addr, record.line, record.func, rdefs, ruses) = \
                 cols.statics[tindex]
-            (mdefs, muses, record.cd, record.values) = cols.dyns[tindex]
+            (mdefs, muses, record.values) = cols.dyns[tindex]
+            cd = cols.cd[tindex]
+            record.cd = (tid, cd) if cd >= 0 else None
             record.tid = tid
             record.tindex = tindex
             record.rdefs = rdefs
             record.ruses = ruses
             record.mdefs = mdefs
             record.muses = muses
-            record.gpos = cols.gpos[tindex]
+            record.gpos = cols.gpos[tindex] if cols.gpos else -1
             record._def_locs = self.locations_for(tid, rdefs, mdefs)
             record._use_locs = self.locations_for(tid, ruses, muses)
             record._inst = (tid, tindex)
@@ -264,21 +268,23 @@ class ColumnarTraceStore:
         return record
 
     def gpos_of(self, tid: int, tindex: int) -> int:
-        """Global position of one row without materializing its record."""
+        """Global position of one row without materializing its record
+        (-1 before the merge)."""
         cols = self._columns.get(tid)
         if cols is None:
             raise instance_error((tid, tindex))
-        positions = cols.gpos
-        if not 0 <= tindex < len(positions):
-            raise instance_error((tid, tindex), len(positions))
-        return positions[tindex]
+        length = len(cols.statics)
+        if not 0 <= tindex < length:
+            raise instance_error((tid, tindex), length)
+        return cols.gpos[tindex] if cols.gpos else -1
 
-    def set_gpos(self, tid: int, tindex: int, gpos: int) -> None:
-        cols = self._columns[tid]
-        cols.gpos[tindex] = gpos
-        record = cols.cache[tindex]
-        if record is not None:
-            record.gpos = gpos
+    def adopt_positions(self, positions: Dict[int, Sequence[int]]) -> None:
+        """Take each thread's merged-order position column (see
+        :func:`~repro.slicing.global_trace.merge_order`)."""
+        for tid, cols in self._columns.items():
+            gpos = cols.gpos = positions[tid]
+            for record in filter(None, cols.cache):
+                record.gpos = gpos[record.tindex]
 
     def def_locations_at(self, tid: int, tindex: int) -> tuple:
         """Def locations of one row without materializing its record."""

@@ -151,6 +151,10 @@ class Machine:
         self._excl_watch: Dict[Tuple[int, int], Dict[int, tuple]] = {}
         self._excl_arrivals: Dict[Tuple[int, int], int] = {}
         self.skipped_exclusions = 0
+        #: tid -> (next instruction index, frame ids) per exclusion skip
+        #: that installed frames: the slicing tracer's control-dependence
+        #: walk simulates frame ids and reads these where a skip jumped.
+        self.exclusion_frames: Dict[int, List[tuple]] = {}
         self.rng = Lcg(rand_seed)
         self.inputs: List[Word] = list(inputs)
         self.input_pos = 0
@@ -837,7 +841,7 @@ class Machine:
         skip = by_arrival.get(arrival)
         if skip is None:
             return False
-        regs, mem, frames, end_pc = skip
+        regs, mem, frames, frame_ids, end_pc = skip
         thread_regs = thread.regs
         for name, value in regs:
             thread_regs[name] = value
@@ -846,6 +850,8 @@ class Machine:
             write(addr, value)
         if frames is not None:
             thread.frames = [Frame(*fields) for fields in frames]
+            self.exclusion_frames.setdefault(thread.tid, []).append(
+                (thread.instr_count, frame_ids))
         thread.pc = end_pc
         self.skipped_exclusions += 1
         return True
@@ -1233,18 +1239,19 @@ class Machine:
 
 
 def _exclusion_skip(record: dict) -> tuple:
-    """(regs, mem, frames, end_pc) of one exclusion record, checked."""
+    """Checked (regs, mem, frames, frame_ids, end_pc) of one record."""
     regs = []
     for name, value in record["regs"]:
         if name not in ALL_REGISTERS:
             raise ValueError("unknown register %r" % (name,))
         regs.append((name, value))
     mem = [(int(addr), value) for addr, value in record["mem"]]
-    frames = record.get("frames")
+    frames = frame_ids = record.get("frames")
     if frames is not None:
         frames = [(f["func"], f["call_addr"], f["return_addr"],
                    f["frame_id"], f["fp_at_entry"]) for f in frames]
-    return regs, mem, frames, int(record["end_pc"])
+        frame_ids = tuple(fields[3] for fields in frames)
+    return regs, mem, frames, frame_ids, int(record["end_pc"])
 
 
 def _apply_binop(subop: str, a: Word, b: Word, thread, pc) -> Word:

@@ -708,12 +708,16 @@ def decode_selective(program, sink) -> List[SelectiveHandler]:
 
     A flow sink provides ``save_addrs``/``restore_addrs`` (static
     save/restore candidate pcs) and the callbacks ``on_step(tid, pc)``
-    (every retire, first), then per class: ``on_branch(tid, pc)``,
-    ``on_ijmp(tid, pc, target)``, ``on_sys(tid, wrote_r0)``,
-    ``on_save(tid, pc, stack_addr, value, frame_id)``,
-    ``on_restore(tid, pc, stack_addr, value, frame_id)`` and
+    (every retire, first), then per class: ``on_branch(tid, pc)`` and
+    ``on_ijmp(tid, pc, target)`` (the shapes of
+    :class:`~repro.slicing.control_dep.RegionEnds`' recorders),
+    ``on_sys(tid, wrote_r0)``, ``on_save(tid, pc, stack_addr, value,
+    frame_id)``, ``on_restore(tid, pc, stack_addr, value, frame_id)`` and
     ``on_ret(tid, frame_id)`` (``frame_id`` is pre-execution, matching
-    :class:`~repro.vm.hooks.InstrEvent`), plus ``on_wset(addr)`` —
+    :class:`~repro.vm.hooks.InstrEvent`; the last three feed a
+    :class:`~repro.slicing.save_restore.SaveRestoreDetector`, which also
+    wants the retire's instruction index — the sink's pc stream length
+    minus one), plus ``on_wset(addr)`` —
     called once per memory address *written* by a non-save retire (save
     pcs report their slot through ``on_save``), giving the sink the
     region's written-address set without any ordering or attribution.

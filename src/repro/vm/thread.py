@@ -1,9 +1,12 @@
 """Per-thread execution context.
 
 Each thread owns its registers, program counter, a stack region, and a call
-stack of frames for debugger backtraces and for tagging dynamic control
-dependences with the frame they belong to (the Xin-Zhang algorithm is
-per-frame; see :mod:`repro.slicing.control_dep`).
+stack of frames for debugger backtraces and for frame-scoped analyses:
+save/restore verification keys saves by frame id, and the control-
+dependence walk of :mod:`repro.slicing.control_dep` (the Xin-Zhang
+algorithm is per-frame) simulates these ids from a thread's frames and
+``_next_frame_id`` at region entry — a call pushes the next id, a return
+pops — so every id a call hands out must come from :meth:`push_frame`.
 """
 
 from __future__ import annotations

@@ -1,9 +1,17 @@
-"""Tests for dynamic control-dependence detection (Xin-Zhang online)."""
+"""Tests for dynamic control-dependence detection (the Xin-Zhang walk)."""
+
+import pytest
 
 from repro.lang import compile_source
 from repro.pinplay import RegionSpec, record_region, replay
 from repro.slicing import SliceOptions, TraceCollector
+from repro.slicing.control_dep import ControlDepWalk
 from repro.vm import RoundRobinScheduler
+
+from tests.slicing.test_control_dep_oracle import (
+    ENGINES, kernels, record_kernel, replay_with_reference, slice_pinballs)
+from tests.support.progen import (build_program, build_struct_program,
+                                  record_pinball)
 
 
 def trace_program(source, options=None, inputs=()):
@@ -161,3 +169,49 @@ int main() {
         for rec in collector.store.by_thread[0]:
             if rec.cd is not None:
                 assert rec.cd in collector.store
+
+
+def compare_frames(program, pinball, engine):
+    """The walk's simulated frame id equals ``InstrEvent.frame_id`` on
+    every row; returns how many rows a walk that ignored exclusion skips
+    would have got wrong."""
+    collector, reference = replay_with_reference(
+        program, pinball, SliceOptions(), engine)
+    store = collector.store
+    unskipped_wrong = 0
+    for tid in store.threads():
+        pcs = [store.get((tid, t)).addr
+               for t in range(store.thread_length(tid))]
+        entry = reference.entry.get(tid, ((0,), 1))
+        ends = collector.region_ends.by_thread.get(tid, ())
+        resets = reference.machine.exclusion_frames.get(tid, ())
+        simulated = []
+        ControlDepWalk(*entry).extend(collector._classes, pcs, ends, resets,
+                                      frame_ids=simulated)
+        assert simulated == reference.frame_ids[tid], (
+            "simulated frame ids differ in thread %d" % tid)
+        unskipped = []
+        ControlDepWalk(*entry).extend(collector._classes, pcs, ends,
+                                      frame_ids=unskipped)
+        unskipped_wrong += sum(
+            a != b for a, b in zip(unskipped, reference.frame_ids[tid]))
+    return unskipped_wrong
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_simulated_frame_ids(engine):
+    for seed in range(6):
+        for program in (build_program(seed), build_struct_program(seed)):
+            compare_frames(program, record_pinball(program, seed), engine)
+    for _name, program in kernels():
+        compare_frames(program, record_kernel(program), engine)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_simulated_frame_ids_follow_exclusion_skips(engine):
+    """The walk follows the frames each exclusion skip installs; the
+    corpus really has skips that change the frame stack."""
+    skipped_frames = sum(compare_frames(program, slice_pinball, engine)
+                         for program, slice_pinball
+                         in slice_pinballs(engine))
+    assert skipped_frames > 0
