@@ -5,7 +5,9 @@ PARSEC-like, SPECOMP-like and pointer-chasing (struct/heap) workloads,
 running *both* engines in the same
 process so the comparison is apples-to-apples on the same machine state:
 
-* **record** — ``record_region`` with the logger tool attached;
+* **record** — ``record_region``: the pinball recorder, fed with no
+  per-instruction events on either engine (batched on the predecoded
+  engine, per step on the legacy one);
 * **replay** — untraced pinball replay (no tools: the predecoded engine's
   fast path, the analog of Pin-only speed);
 * **trace**  — replay with the slicing tracer attached (traced micro-op
@@ -148,7 +150,7 @@ def _bench_workload(suite: str, kernel: str, params: dict) -> List[dict]:
     program = _build(suite, kernel, params)
     rows = []
     for engine in ENGINES:
-        # -- record (logger tool attached) -------------------------------
+        # -- record (the recorder, no events) ----------------------------
         with _quiesced():
             started = time.perf_counter()
             pinball = record_region(program, RandomScheduler(seed=7),

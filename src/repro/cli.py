@@ -145,10 +145,9 @@ def cmd_record(args) -> int:
                       file=sys.stderr)
                 return 1
     else:
-        # v2 on the fast record path streams frames straight to the
-        # output file (flat peak memory); otherwise record in memory and
-        # save in the requested format below.
-        stream = fmt == "v2" and config.engine() == "predecoded"
+        # v2 streams frames straight to the output file (flat peak
+        # memory); v1 records in memory and saves below.
+        stream = fmt == "v2"
         pinball = record_region(
             program, _scheduler(args), region,
             inputs=inputs, rand_seed=args.rand_seed,

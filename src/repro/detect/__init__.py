@@ -29,7 +29,6 @@ from repro.detect.race_detector import (
 from repro.detect.online import (
     OnlineRaceDetector,
     detect_races_online,
-    online_capable,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "VectorClock",
     "detect_races",
     "detect_races_online",
-    "online_capable",
 ]

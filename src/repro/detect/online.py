@@ -1,16 +1,18 @@
-"""Online race detection riding the untraced fast path.
+"""Online race detection on the recorder protocol.
 
 The classic :class:`~repro.detect.race_detector.RaceDetectorTool`
 subscribes to per-instruction events, which forces the traced
 interpreter path: every retired instruction materializes an
 :class:`InstrEvent` whether it touched memory or not.  The detector
 here implements the machine's *recorder protocol* instead
-(:meth:`repro.vm.machine.Machine.set_recorder`): the run loop executes
-through the untraced micro-op closures and calls :meth:`on_mem` only
-for instructions that actually touched memory, handing over bare
-address lists plus the accessing pc — exactly the facts happens-before
-race detection needs.  Detection costs one untraced pass; no trace is
-ever materialized.
+(:meth:`repro.vm.machine.Machine.set_recorder`): the run loop calls
+:meth:`on_mem` only for instructions that actually touched memory,
+handing over bare address lists plus the accessing pc — exactly the
+facts happens-before race detection needs.  On the predecoded engine
+the pass runs through the untraced micro-op closures; no trace is ever
+materialized.  The feed is the same on the legacy engine, beside
+instruction-event tools, and over a slice pinball's exclusion skips
+(which retire nothing, so neither detector sees them).
 
 Clock granularity differs from the traced detector — one tick per
 *memory access* rather than per instruction — but happens-before
@@ -33,11 +35,11 @@ from repro.pinplay.replayer import replay_machine
 from repro.vm.hooks import ListeningRecorder
 from repro.vm.machine import Machine
 
-__all__ = ["OnlineRaceDetector", "detect_races_online", "online_capable"]
+__all__ = ["OnlineRaceDetector", "detect_races_online"]
 
 
 class OnlineRaceDetector(ListeningRecorder, RaceDetectorTool):
-    """Vector-clock detector fed from the record/untraced fast path.
+    """Vector-clock detector fed through the recorder protocol.
 
     Registered both as a machine tool (sync and lifecycle events arrive
     through the ordinary hooks) and as the machine's recorder (memory
@@ -47,7 +49,7 @@ class OnlineRaceDetector(ListeningRecorder, RaceDetectorTool):
     listens, it does not log.
     """
 
-    wants_instr_events = False     # keeps the fast path armed
+    wants_instr_events = False     # the accesses come through on_mem
 
     def __init__(self, watch_low: int = 0,
                  watch_high: Optional[int] = None) -> None:
@@ -150,22 +152,10 @@ class OnlineRaceDetector(ListeningRecorder, RaceDetectorTool):
         return on_mem
 
 
-def online_capable(pinball: Pinball, engine: Optional[str] = None) -> bool:
-    """Can this pinball replay with the fast-path detector?
-
-    The recorder protocol requires the predecoded engine and rejects
-    exclusion skips, so slice pinballs and legacy-engine runs fall back
-    to the traced detector.
-    """
-    from repro import config
-    if config.engine(explicit=engine) != "predecoded":
-        return False
-    return not pinball.exclusions
-
-
 def detect_races_online(pinball: Pinball, program: Program,
                         globals_only: bool = True) -> List[RaceReport]:
-    """One untraced replay pass with the online detector attached."""
+    """One replay pass of any pinball, slice pinballs included, with
+    the online detector as the machine's recorder."""
     detector = OnlineRaceDetector(
         watch_low=GLOBAL_BASE,
         watch_high=program.data_size if globals_only else None)

@@ -249,15 +249,13 @@ def detect_races(pinball: Pinball, program: Program,
     rare by construction).
 
     ``online`` (the default) runs the recorder-protocol detector over
-    an *untraced* replay (one fast pass, no events — see
-    :mod:`repro.detect.online`), falling back to the traced path when
-    the pinball cannot ride the fast path (slice pinballs, legacy
-    engine).  ``online=False`` forces the classic traced tool, the
-    differential oracle the online detector is checked against.  Both
-    paths report the same races.
+    a replay that builds no events (see :mod:`repro.detect.online`),
+    on every engine and pinball.  ``online=False`` selects the classic
+    traced tool, the differential oracle the online detector is checked
+    against.  Both report the same races.
     """
-    from repro.detect.online import detect_races_online, online_capable
-    if online and online_capable(pinball):
+    if online:
+        from repro.detect.online import detect_races_online
         return detect_races_online(pinball, program,
                                    globals_only=globals_only)
     from repro.isa.program import GLOBAL_BASE

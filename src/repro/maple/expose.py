@@ -9,10 +9,10 @@ Workflow (paper Section 6, "Integration with Maple"):
    yields a pinball that replays the bug deterministically — ready for
    cyclic debugging and slicing.
 
-Neither phase builds a per-instruction event on the predecoded engine:
-the profiler listens on the recorder protocol, and the active scheduler
-watches its iRoot itself, so its runs record on the event-free
-:class:`~repro.pinplay.logger.FastRecorder` path.
+Neither phase builds a per-instruction event, on either engine: the
+profiler listens on the recorder protocol, and the active scheduler
+watches its iRoot itself, so its runs record with the event-free
+:class:`~repro.pinplay.logger.FastRecorder` alone.
 """
 
 from __future__ import annotations

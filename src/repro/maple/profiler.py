@@ -9,9 +9,8 @@ that no run has exhibited yet; those are the candidate interleavings the
 active scheduler will force.
 
 The tool listens on the recorder protocol like the online race
-detector (:meth:`ProfilerTool.on_mem`, untraced); the legacy engine has
-no recorder path, so there it takes instruction events
-(:meth:`ProfilerTool.on_instr`).  Both feeds reach one access core.
+detector (:meth:`ProfilerTool.on_mem`), on either engine; no profiling
+run builds an instruction event.
 """
 
 from __future__ import annotations
@@ -21,17 +20,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.isa.program import Program
 from repro.maple.idioms import IRoot, MemAccess
 from repro.obs.registry import OBS
-from repro.vm.hooks import InstrEvent, ListeningRecorder, Tool
+from repro.vm.hooks import ListeningRecorder
 from repro.vm.machine import Machine
 from repro.vm.scheduler import RandomScheduler
 
 
-class ProfilerTool(ListeningRecorder, Tool):
+class ProfilerTool(ListeningRecorder):
     """Records observed idiom-1 iRoots during one run."""
-
-    #: The legacy engine's feed; the predecoded engine arms the tool as
-    #: its recorder instead and never builds an event.
-    wants_instr_events = True
 
     def __init__(self, shared_limit: Optional[int] = None) -> None:
         #: Only addresses below this count as interesting (defaults to all).
@@ -45,11 +40,8 @@ class ProfilerTool(ListeningRecorder, Tool):
         self._last: Dict[int, Tuple[int, int, bool]] = {}
 
     def attach(self, machine: Machine) -> None:
-        """Arm the recorder feed where the engine has one."""
-        if machine.engine == "predecoded":
-            machine.set_recorder(self)
-        else:
-            machine.add_tool(self)
+        """Arm the tool as ``machine``'s recorder."""
+        machine.set_recorder(self)
 
     def _access(self, tid: int, pc: int, addr: int, is_write: bool) -> None:
         if self.shared_limit is not None and addr >= self.shared_limit:
@@ -69,12 +61,6 @@ class ProfilerTool(ListeningRecorder, Tool):
             self._access(tid, pc, addr, False)
         for addr in write_addrs:
             self._access(tid, pc, addr, True)
-
-    def on_instr(self, event: InstrEvent) -> None:
-        for addr, _value in event.mem_reads:
-            self._access(event.tid, event.addr, addr, False)
-        for addr, _value in event.mem_writes:
-            self._access(event.tid, event.addr, addr, True)
 
 
 class InterleavingProfiler:

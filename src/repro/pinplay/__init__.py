@@ -21,7 +21,7 @@ The three tools of the paper's substrate, reimplemented over our VM:
 from repro.pinplay.pinball import Pinball, PinballFormatError
 from repro.pinplay.format_v2 import EmbeddedCheckpoint, LazyPinball
 from repro.pinplay.regions import RegionSpec
-from repro.pinplay.logger import FastRecorder, LoggerTool, record_region
+from repro.pinplay.logger import FastRecorder, record_region
 from repro.pinplay.replayer import (SyscallInjector, generate_checkpoints,
                                     replay, replay_machine, resume_machine)
 from repro.pinplay.relogger import RelogError, relog
@@ -30,7 +30,6 @@ __all__ = [
     "EmbeddedCheckpoint",
     "FastRecorder",
     "LazyPinball",
-    "LoggerTool",
     "Pinball",
     "PinballFormatError",
     "RegionSpec",

@@ -6,9 +6,9 @@ Two phases, exactly as in the paper:
    construction entirely, the analog of Pin-only speed) until the main
    thread has retired ``skip`` instructions.
 2. **Record** — snapshot the full architectural state, reset region-relative
-   counters, attach the :class:`LoggerTool`, and run until the main thread
+   counters, attach the :class:`FastRecorder`, and run until the main thread
    retires ``length`` instructions, a failure symptom fires, or the program
-   ends.  The tool records the schedule, nondeterministic syscall results,
+   ends.  The recorder logs the schedule, nondeterministic syscall results,
    shared-memory access-order edges, and per-thread instruction counts.
 
 The two phases are :func:`enter_region` and :func:`record_from`, which
@@ -29,100 +29,26 @@ from repro.pinplay.format_v2 import (EDGE_CHUNK, SCHEDULE_CHUNK,
                                      capture_state)
 from repro.pinplay.pinball import Pinball, state_hash
 from repro.pinplay.regions import RegionSpec
-from repro.vm.hooks import InstrEvent, SyscallEvent, Tool
+from repro.vm.errors import VMError
+from repro.vm.hooks import SyscallEvent, Tool
 from repro.vm.machine import Machine
-from repro.vm.scheduler import Scheduler, ScheduleRecorder
+from repro.vm.scheduler import Scheduler
 from repro.vm.syscalls import NONDET_SYSCALLS
 from repro.vm.thread import ThreadStatus
 
 MAIN_TID = 0
 
 
-class LoggerTool(Tool):
-    """Records everything replay needs while a region executes."""
-
-    wants_instr_events = True
-    retains_instr_events = False   # edges/counts are extracted per event
-
-    def __init__(self) -> None:
-        self.schedule = ScheduleRecorder()
-        self.syscalls: Dict[int, List[Tuple[str, object]]] = {}
-        #: (from_tid, from_tindex, to_tid, to_tindex, addr, kind)
-        self.mem_order: List[Tuple[int, int, int, int, int, str]] = []
-        # Per-address bookkeeping, bounded per address by thread count:
-        # the last write, and the *last read per thread* since that write
-        # (transitively earlier reads are ordered by program order, so one
-        # RAW edge per (write epoch, reading thread) and one WAR edge per
-        # (write, previously-reading thread) suffice for a correct order).
-        self._last_writer: Dict[int, Tuple[int, int]] = {}
-        self._readers_since_write: Dict[int, Dict[int, int]] = {}
-        self._seen_by: Dict[int, int] = {}   # addr -> sole tid, or -2 = shared
-        self.thread_creates: List[Tuple[int, Optional[int], int]] = []
-
-    def on_step(self, tid: int) -> None:
-        self.schedule.record(tid)
-
-    def on_syscall(self, event: SyscallEvent) -> None:
-        if event.name in NONDET_SYSCALLS:
-            self.syscalls.setdefault(event.tid, []).append(
-                (event.name, event.result))
-
-    def on_thread_start(self, tid, parent, start_pc, arg) -> None:
-        self.thread_creates.append((tid, parent, start_pc))
-
-    def _mark(self, addr: int, tid: int) -> bool:
-        """Record that ``tid`` touched ``addr``; True if addr is shared."""
-        owner = self._seen_by.get(addr)
-        if owner is None:
-            self._seen_by[addr] = tid
-            return False
-        if owner == tid:
-            return False
-        if owner != -2:
-            self._seen_by[addr] = -2
-        return True
-
-    def on_instr(self, event: InstrEvent) -> None:
-        tid = event.tid
-        tindex = event.tindex
-        for addr, _value in event.mem_reads:
-            shared = self._mark(addr, tid)
-            readers = self._readers_since_write.setdefault(addr, {})
-            if shared and tid not in readers:
-                writer = self._last_writer.get(addr)
-                if writer is not None and writer[0] != tid:
-                    self.mem_order.append(
-                        (writer[0], writer[1], tid, tindex, addr, "raw"))
-            readers[tid] = tindex
-        for addr, _value in event.mem_writes:
-            shared = self._mark(addr, tid)
-            if shared:
-                writer = self._last_writer.get(addr)
-                if writer is not None and writer[0] != tid:
-                    self.mem_order.append(
-                        (writer[0], writer[1], tid, tindex, addr, "waw"))
-                for reader_tid, reader_tindex in self._readers_since_write.get(
-                        addr, {}).items():
-                    if reader_tid != tid:
-                        self.mem_order.append(
-                            (reader_tid, reader_tindex, tid, tindex, addr,
-                             "war"))
-            self._last_writer[addr] = (tid, tindex)
-            if addr in self._readers_since_write:
-                self._readers_since_write[addr] = {}
-
-
 class FastRecorder(Tool):
-    """The always-on record path: no per-instruction events at all.
+    """The pinball recorder: no per-instruction events at all.
 
     Registered as a machine tool (syscall results and thread creations
-    fire through the untraced syscall/lifecycle hooks), as the machine's
+    fire through the syscall/lifecycle hooks), as the machine's
     *recorder* (:meth:`Machine.set_recorder`) and as its schedule log
     (:meth:`Machine.set_schedule_log`): the run loop records the RLE
     schedule inline and calls :meth:`on_mem` only for instructions that
-    touched memory.  The mem-order algorithm is the same as
-    :class:`LoggerTool`'s, fed from the raw access lists instead of
-    events.
+    touched memory, on either engine and whether or not instruction
+    tools ride along.
 
     With a :class:`~repro.pinplay.format_v2.PinballWriter` attached,
     full schedule/edge chunks are flushed to disk as they fill and a
@@ -132,8 +58,6 @@ class FastRecorder(Tool):
     memory (and checkpoints, if requested, are kept as
     :class:`EmbeddedCheckpoint` objects on the resulting pinball).
     """
-
-    wants_instr_events = False     # the whole point
 
     def __init__(self, writer: Optional[PinballWriter] = None,
                  checkpoint_interval: int = 0) -> None:
@@ -152,8 +76,7 @@ class FastRecorder(Tool):
         # Pending RLE run, owned by the machine loop between run() calls.
         self._run_tid: Optional[int] = None
         self._run_count = 0
-        # Per-address bookkeeping, semantically identical to LoggerTool's
-        # three dicts but merged into one record per address so the hot
+        # Per-address bookkeeping, one record per address so the hot
         # path does a single hash lookup:
         #   addr -> [owner (sole tid, or -2 = shared),
         #            readers-since-last-write {tid: tindex} or None,
@@ -162,6 +85,11 @@ class FastRecorder(Tool):
         self._output_start = 0
 
     def attach(self, machine: Machine, output_start: int) -> None:
+        """Arm this recorder on ``machine``, whose output so far ends at
+        ``output_start``.  A slice-pinball replay is refused: its
+        exclusion skips take steps that neither execute nor log."""
+        if machine._excl_watch:
+            raise VMError("cannot record over installed exclusions")
         machine.add_tool(self)
         machine.set_recorder(self)
         machine.set_schedule_log(self)
@@ -189,13 +117,16 @@ class FastRecorder(Tool):
                pc: int = -1) -> None:
         """Record access-order edges for one instruction's memory touches.
 
-        Takes bare address lists (the record micro-ops deposit addresses
-        only — edge detection never needs values) and emits the same
-        raw/waw/war edges, in the same order, as :class:`LoggerTool`'s
-        event-stream walk (the differential suite asserts this).  ``pc``
-        identifies the accessing instruction; edge detection ignores it
-        (only site-reporting recorders like the online race detector
-        need it).
+        Takes bare address lists (edge detection never needs values).
+        Once a second thread touches an address (this access counts),
+        a read of it gets a RAW edge from the last write if another
+        thread made it, once per reading thread per write; a write gets
+        a WAW edge from the last write if another thread made it, then a
+        WAR edge from each other thread's last read since that write
+        (program order orders a thread's earlier reads, so these edges
+        suffice).  ``pc`` identifies the accessing instruction; edge detection
+        ignores it (only site-reporting recorders like the online race
+        detector need it).
         """
         edges = self.mem_order
         state = self._mem_state
@@ -277,37 +208,6 @@ class FastRecorder(Tool):
 
     def total_edges(self) -> int:
         return self.edge_count + len(self.mem_order)
-
-
-class _CheckpointHook(Tool):
-    """Checkpoint capture for the classic (event-based) record path.
-
-    ``on_step`` fires after ``self.steps`` region steps have completed
-    and before the pending one executes — the same capture point the
-    fast path uses — so v2 recordings made with extra tools or the
-    legacy engine embed byte-identical checkpoints.
-    """
-
-    def __init__(self, machine: Machine, logger: LoggerTool,
-                 interval: int, output_start: int) -> None:
-        self.machine = machine
-        self.logger = logger
-        self.interval = interval
-        self.steps = 0
-        self.checkpoints: List[EmbeddedCheckpoint] = []
-        self._output_start = output_start
-
-    def on_step(self, tid: int) -> None:
-        if self.steps and self.steps % self.interval == 0:
-            machine = self.machine
-            consumed = {t: len(log)
-                        for t, log in self.logger.syscalls.items()}
-            body = capture_state(machine, consumed,
-                                 machine.output[self._output_start:])
-            self.checkpoints.append(
-                EmbeddedCheckpoint(self.steps, machine.global_seq,
-                                   body=body))
-        self.steps += 1
 
 
 def enter_region(machine: Machine, region: RegionSpec) -> None:
@@ -402,19 +302,16 @@ def record_from(machine: Machine, region: RegionSpec,
     snapshot), into a pinball.  ``rand_seed`` is provenance only: the
     seed the run started from, kept in the pinball's meta.
 
-    ``extra_tools`` attach additional analyses to the recorded region
-    (used by the Maple integration).  The record phase uses the
-    event-free :class:`FastRecorder` whenever it can (predecoded engine,
-    no extra tools) and falls back to the classic :class:`LoggerTool`
-    otherwise — both produce identical pinballs (the differential suite
-    asserts it).
+    ``extra_tools`` attach beside the recorder, an event-free
+    :class:`FastRecorder` on every engine and loop path: an
+    instruction-event tool moves the run to the per-step path and
+    changes no recorded byte.
 
     ``pinball_format``/``checkpoint_interval`` default to the config
     knobs.  Under format v2 the recorder embeds a machine checkpoint
-    every ``checkpoint_interval`` steps, and ``stream_path`` (fast path
-    only) streams frames to that file during recording — the returned
-    pinball is the lazily-opened file, and peak memory stays flat in
-    region length.
+    every ``checkpoint_interval`` steps, and ``stream_path`` streams
+    frames to that file during recording — the returned pinball is the
+    lazily-opened file, and peak memory stays flat in region length.
     """
     fmt = config.pinball_format(explicit=pinball_format)
     if fmt == "v2" or checkpoint_interval is not None:
@@ -426,32 +323,17 @@ def record_from(machine: Machine, region: RegionSpec,
     snapshot = machine.snapshot().to_dict()
     output_start = len(machine.output)
 
-    use_fast = machine.engine == "predecoded" and not extra_tools
-    recorder = tool = hook = None
     writer = stream_fh = None
-    if use_fast:
-        if stream_path is not None:
-            stream_fh = open(stream_path, "wb")
-            writer = PinballWriter(stream_fh, machine.program.name,
-                                   checkpoint_interval=interval)
-            writer.write_snapshot(snapshot)
-        recorder = FastRecorder(writer=writer,
-                                checkpoint_interval=interval)
+    if stream_path is not None:
+        stream_fh = open(stream_path, "wb")
+        writer = PinballWriter(stream_fh, machine.program.name,
+                               checkpoint_interval=interval)
+        writer.write_snapshot(snapshot)
+    recorder = FastRecorder(writer=writer, checkpoint_interval=interval)
+    try:
         recorder.attach(machine, output_start)
-    else:
-        if stream_path is not None:
-            raise ValueError(
-                "stream_path requires the fast record path "
-                "(predecoded engine, no extra tools)")
-        tool = LoggerTool()
-        machine.add_tool(tool)
-        if interval:
-            hook = _CheckpointHook(machine, tool, interval, output_start)
-            machine.add_tool(hook)
         for extra in extra_tools:
             machine.add_tool(extra)
-
-    try:
         with OBS.span("pinplay.record"):
             end_reason = run_region(machine, region)
     except BaseException:
@@ -459,36 +341,22 @@ def record_from(machine: Machine, region: RegionSpec,
             stream_fh.close()
         raise
 
-    if use_fast:
-        machine.set_recorder(None)
-        machine.set_schedule_log(None)
-        recorder.finish()
-        schedule_runs = recorder.schedule_runs
-        syscalls = recorder.syscalls
-        mem_order = recorder.mem_order
-        thread_creates = recorder.thread_creates
-        checkpoints = recorder.checkpoints
-        schedule_steps = recorder.steps_done
-        run_count = recorder.run_count
-        edge_count = recorder.total_edges()
-    else:
-        schedule_runs = tool.schedule.runs
-        syscalls = tool.syscalls
-        mem_order = tool.mem_order
-        thread_creates = tool.thread_creates
-        checkpoints = hook.checkpoints if hook is not None else []
-        schedule_steps = tool.schedule.total()
-        run_count = len(schedule_runs)
-        edge_count = len(mem_order)
+    machine.set_recorder(None)
+    machine.set_schedule_log(None)
+    recorder.finish()
+    schedule_runs = recorder.schedule_runs
+    syscalls = recorder.syscalls
+    mem_order = recorder.mem_order
+    schedule_steps = recorder.steps_done
 
     if OBS.enabled:
         OBS.add("pinplay.regions_recorded", 1)
         OBS.add("pinplay.schedule_steps", schedule_steps)
-        OBS.add("pinplay.schedule_runs", run_count)
-        OBS.add("pinplay.mem_order_edges", edge_count)
+        OBS.add("pinplay.schedule_runs", recorder.run_count)
+        OBS.add("pinplay.mem_order_edges", recorder.total_edges())
         OBS.add("pinplay.syscall_results_logged",
                 sum(len(log) for log in syscalls.values()))
-        OBS.add("pinplay.thread_creates", len(thread_creates))
+        OBS.add("pinplay.thread_creates", len(recorder.thread_creates))
 
     counts = {str(tid): thread.instr_count
               for tid, thread in machine.threads.items()}
@@ -533,7 +401,7 @@ def record_from(machine: Machine, region: RegionSpec,
         # str names): skip the constructor's per-element re-cast pass.
         trusted=True,
     )
-    pinball.checkpoints = checkpoints
+    pinball.checkpoints = recorder.checkpoints
     if fmt == "v2":
         pinball._native_format = "v2"
     return pinball

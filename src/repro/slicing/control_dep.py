@@ -120,6 +120,10 @@ class ControlDepWalk:
             while reset_at == tindex:
                 frames = list(resets[ri][1])
                 frame = frames[-1] if frames else -1
+                # As the machine's skip does: calls continue above the
+                # installed ids.
+                if frames:
+                    next_id = max(next_id, max(frames) + 1)
                 ri += 1
                 reset_at = resets[ri][0] if ri < len(resets) else -1
             # Close regions that end at this address in this frame.

@@ -122,7 +122,9 @@ class ListeningRecorder:
     <repro.vm.machine.Machine.set_recorder>`) for recorders that only
     listen to memory accesses (the online race detector, Maple's
     profiler): no checkpoint is taken.  Subclasses define ``on_mem``
-    and may declare ``watch_window``.
+    and may declare ``watch_window``.  The feed is the same on either
+    engine and beside instruction-event tools, and it may run over a
+    slice pinball's exclusion skips.
     """
 
     checkpoint_interval = 0

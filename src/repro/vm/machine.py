@@ -167,8 +167,8 @@ class Machine:
         self._cur_mem_writes: Optional[List[Tuple[int, Word]]] = None
         #: The run loop's RLE schedule log (see set_schedule_log).
         self._schedule_log = None
-        #: Fast record path (see set_recorder): the recorder object and
-        #: the address window its on_mem watches.
+        #: The recorder (see set_recorder) and the address window its
+        #: on_mem watches.
         self._recorder = None
         self._rec_window: Optional[Tuple[int, int]] = None
         self._rec_reads: List[int] = []
@@ -234,30 +234,26 @@ class Machine:
         self._schedule_log = log
 
     def set_recorder(self, recorder) -> None:
-        """Arm (or with ``None`` disarm) the fast record path.
+        """Arm (or with ``None`` disarm) the recorder.
 
-        Instead of building an :class:`InstrEvent` per retired
-        instruction, the run loop calls ``recorder.on_mem`` only for
-        instructions that actually touched memory — everything else
-        executes through the untraced micro-op closures — and takes the
-        recorder's checkpoints.  The schedule is the log's half
-        (:meth:`set_schedule_log`): the pinball recorder arms both.
-        Requires the predecoded engine; the recorder must also be
-        registered as a tool (for syscall/lifecycle events, which fire
-        in untraced mode anyway).
+        The run loop calls ``recorder.on_mem(tid, tindex, read_addrs,
+        write_addrs, pc)`` for each retired step that touched memory
+        and ``recorder.capture(machine, steps_done)`` at each checkpoint
+        step, on both engines and on the batched and per-step paths
+        alike; no :class:`InstrEvent` is built for it.  The address
+        lists are scratch: ``on_mem`` must not keep them.  The schedule
+        is the log's half (:meth:`set_schedule_log`): the pinball
+        recorder arms both.  A recorder that wants syscall or lifecycle
+        events registers as a tool too.
 
         A recorder may declare ``watch_window = (low, high)``, promising
         that ``on_mem`` ignores every address outside ``[low, high)``.
-        The loop then skips the call for an instruction whose one
-        address (LD, ST, PUSH, POP, CALL, ICALL, RET) lies outside.
+        The batched loop then skips the call for an instruction whose
+        one address (LD, ST, PUSH, POP, CALL, ICALL, RET) lies outside.
         """
         if recorder is None:
             self._recorder = None
             return
-        if self.engine != "predecoded":
-            raise VMError("fast recording requires the predecoded engine")
-        if self._excl_watch:
-            raise VMError("cannot record over installed exclusions")
         window = getattr(recorder, "watch_window", None)
         if window is not None:
             # Every address a step can touch lies in (0,
@@ -265,7 +261,7 @@ class Machine:
             window = (max(window[0], 0), min(window[1], ADDRESS_SPACE_TOP))
         self._rec_window = window
         # Scratch address lists reused across steps (cleared after each
-        # on_mem delivery) — the record path allocates nothing per step.
+        # on_mem delivery) — the batched loop allocates nothing per step.
         self._rec_reads: List[int] = []
         self._rec_writes: List[int] = []
         self._recorder = recorder
@@ -489,7 +485,9 @@ class Machine:
         the :class:`RunResult`, the ``vm.*`` counters (plus
         ``vm.steps_batched``, the steps run without a pick) and the state
         an exception raised mid-batch leaves behind all equal the
-        per-step loop's.
+        per-step loop's.  The per-step path feeds an armed recorder
+        from the access lists it builds for each step, and takes its
+        checkpoints at the same step counts.
         """
         if not self._started:
             self._started = True
@@ -524,12 +522,13 @@ class Machine:
             run_tid = log._run_tid
             run_carry = log._run_count
             run_append = log.append_run
-        # Fast record path: mem-order marking happens only on
-        # instructions whose opcode can touch memory, and the recorder's
-        # periodic checkpoint triggers on *step count* (global_seq can
-        # jump past sleep fast-forwards and must not drive the interval).
+        # The recorder: the batched loop runs the record micro-op only
+        # where the opcode can touch memory, the per-step path hands
+        # over its own access lists, and the periodic checkpoint
+        # triggers on *step count* on both (global_seq can jump past
+        # sleep fast-forwards and must not drive the interval).
         recorder = self._recorder
-        rec_on = recorder is not None and not per_step
+        rec_on = recorder is not None
         rec_interval = rec_ckpt = rec_base = 0
         rec_on_mem = None
         uops_rec = rec_mr = rec_mw = None
@@ -556,7 +555,7 @@ class Machine:
         # table standing in for the untraced one; mutually exclusive with
         # recording and with per-instruction tools.
         uops_sel = self._uops_sel
-        sel_on = uops_sel is not None and not per_step and recorder is None
+        sel_on = uops_sel is not None and not per_step and not rec_on
         table = uops_sel if sel_on else uops_fast
         # Observability: one hoisted local; while disabled the per-step
         # cost is a single local-bool test (context-switch counting), and
@@ -671,12 +670,6 @@ class Machine:
                     run_carry = 0
                 run_mark = steps
                 run_tid = tid
-            if per_step:
-                if not step_thread(thread):
-                    idle += 1
-                steps += 1
-                self.global_seq += 1
-                continue
             pc = thread.pc
             if not 0 <= pc < code_len:
                 raise VMError("pc out of range", tid=tid, pc=pc)
@@ -685,6 +678,12 @@ class Machine:
             if rec_interval and steps >= rec_ckpt:
                 recorder.capture(self, rec_base + steps)
                 rec_ckpt = recorder.next_checkpoint - rec_base
+            if per_step:
+                if not step_thread(thread, rec_on_mem):
+                    idle += 1
+                steps += 1
+                self.global_seq += 1
+                continue
             # The batch: this step, plus the leased ones after it, short
             # of max_steps and of the recorder's next checkpoint.
             kind = kinds[pc]
@@ -850,6 +849,11 @@ class Machine:
             write(addr, value)
         if frames is not None:
             thread.frames = [Frame(*fields) for fields in frames]
+            # A later call must not reuse an id the recorded run handed
+            # out: one installed frame could then share it.
+            if frame_ids:
+                thread._next_frame_id = max(thread._next_frame_id,
+                                            max(frame_ids) + 1)
             self.exclusion_frames.setdefault(thread.tid, []).append(
                 (thread.instr_count, frame_ids))
         thread.pc = end_pc
@@ -858,17 +862,19 @@ class Machine:
 
     # -- single instruction ----------------------------------------------------------
 
-    def _step_thread(self, thread: ThreadContext) -> bool:
-        """Execute one instruction of ``thread``; False if it blocked."""
+    def _step_thread(self, thread: ThreadContext, on_mem=None) -> bool:
+        """Execute one instruction of ``thread``, whose pc :meth:`run`
+        has checked; False if it blocked.  ``on_mem`` is the armed
+        recorder's, or None."""
         pc = thread.pc
-        if not 0 <= pc < len(self.instructions):
-            raise VMError("pc out of range", tid=thread.tid, pc=pc)
         instr = self.instructions[pc]
         tracing = bool(self._instr_tools)
+        accesses = tracing or on_mem is not None
         reg_reads: Optional[List[Tuple[str, Word]]] = [] if tracing else None
         reg_writes: Optional[List[Tuple[str, Word]]] = [] if tracing else None
-        mem_reads: Optional[List[Tuple[int, Word]]] = [] if tracing else None
-        mem_writes: Optional[List[Tuple[int, Word]]] = [] if tracing else None
+        mem_reads: Optional[List[Tuple[int, Word]]] = [] if accesses else None
+        mem_writes: Optional[List[Tuple[int, Word]]] = (
+            [] if accesses else None)
         self._cur_mem_writes = mem_writes
         # Frame id *before* execution: a call instruction belongs to the
         # caller's frame (the control-dependence tracker relies on this).
@@ -879,6 +885,8 @@ class Machine:
         self._cur_mem_writes = None
         if not retired:
             return False
+        if on_mem is not None and (mem_reads or mem_writes):
+            _feed_recorder(on_mem, thread, pc, mem_reads, mem_writes)
         if tracing:
             event = InstrEvent(
                 seq=self.global_seq,
@@ -897,18 +905,17 @@ class Machine:
         thread.instr_count += 1
         return True
 
-    def _step_thread_uop(self, thread: ThreadContext) -> bool:
+    def _step_thread_uop(self, thread: ThreadContext, on_mem=None) -> bool:
         """Predecoded-engine traced step: one micro-op closure call.
 
         The handler appends def/use pairs in exactly the order the
         legacy interpreter would, and the resulting
         :class:`~repro.vm.hooks.InstrEvent` is indistinguishable from the
-        seed engine's (the differential tests assert this).  Untraced,
-        selective and record steps run in :meth:`run`'s batch loop.
+        seed engine's (the differential tests assert this); an armed
+        recorder's ``on_mem`` gets the same step's addresses.  Untraced,
+        selective and record-only steps run in :meth:`run`'s batch loop.
         """
         pc = thread.pc
-        if not 0 <= pc < self._code_len:
-            raise VMError("pc out of range", tid=thread.tid, pc=pc)
         reg_reads: List[Tuple[str, Word]] = []
         reg_writes: List[Tuple[str, Word]] = []
         mem_reads: List[Tuple[int, Word]] = []
@@ -920,6 +927,8 @@ class Machine:
         self._cur_mem_writes = None
         if not retired:
             return False
+        if on_mem is not None and (mem_reads or mem_writes):
+            _feed_recorder(on_mem, thread, pc, mem_reads, mem_writes)
         if self._event_reuse_ok:
             # All subscribed tools consume the event synchronously: reuse
             # one scratch event and pass the raw lists (same contents and
@@ -1236,6 +1245,14 @@ class Machine:
             offset = function.local_offsets[name]
             return self.memory.read(int(thread.regs["fp"]) + offset)
         raise VMError("unknown local %r in %s" % (name, frame.func))
+
+
+def _feed_recorder(on_mem, thread, pc, mem_reads, mem_writes) -> None:
+    """Hand a recorder one per-step retire's (addr, value) access lists
+    as bare addresses."""
+    on_mem(thread.tid, thread.instr_count,
+           [addr for addr, _value in mem_reads],
+           [addr for addr, _value in mem_writes], pc)
 
 
 def _exclusion_skip(record: dict) -> tuple:

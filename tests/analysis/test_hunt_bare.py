@@ -23,7 +23,6 @@ from repro.analysis.hunt import (PerturbedScheduler, dedupe_rows, evaluate,
 from repro.isa.instructions import Opcode
 from repro.lang import compile_source
 from repro.maple import ActiveScheduler, InterleavingProfiler, IRoot, MemAccess
-from repro.maple.profiler import ProfilerTool
 from repro.obs.registry import OBS
 from repro.pinplay import RegionSpec, record_region
 from repro.pinplay.logger import record_from
@@ -536,6 +535,32 @@ class TestSelfWatch:
 
 # -- Maple's profiler ---------------------------------------------------------
 
+class _EventProfiler(Tool):
+    """Maple's idiom-1 rule read from instruction events: for each
+    address below ``limit``, the ordered pair of static sites of two
+    back-to-back accesses from different threads, one a write."""
+
+    wants_instr_events = True
+
+    def __init__(self, limit: Optional[int]) -> None:
+        self.limit = limit
+        self.observed = set()
+        self.last = {}
+
+    def on_instr(self, event) -> None:
+        accesses = ([(addr, False) for addr, _value in event.mem_reads]
+                    + [(addr, True) for addr, _value in event.mem_writes])
+        for addr, is_write in accesses:
+            if self.limit is not None and addr >= self.limit:
+                continue
+            last = self.last.get(addr)
+            if (last is not None and last[0] != event.tid
+                    and (last[2] or is_write)):
+                self.observed.add(IRoot(MemAccess(last[1], last[2]),
+                                        MemAccess(event.addr, is_write)))
+            self.last[addr] = (event.tid, event.addr, is_write)
+
+
 class TestProfilerFeeds:
     @pytest.mark.parametrize("engine", ["predecoded", "legacy"],
                              indirect=True)
@@ -549,7 +574,7 @@ class TestProfilerFeeds:
             profiler.run(range(3), switch_prob=0.2)
             want = set()
             for seed in range(3):
-                tool = ProfilerTool(profiler.shared_limit)
+                tool = _EventProfiler(profiler.shared_limit)
                 machine = Machine(program, scheduler=RandomScheduler(
                     seed=seed, switch_prob=0.2), tools=[tool])
                 machine.run(max_steps=2_000_000)

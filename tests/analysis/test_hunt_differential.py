@@ -23,7 +23,7 @@ import pytest
 
 from repro.analysis.hunt import PerturbedScheduler, hunt
 from repro.analysis.report import validate_report
-from repro.detect import detect_races, detect_races_online, online_capable
+from repro.detect import detect_races, detect_races_online
 from repro.pinplay import replay
 from repro.serve import PinballStore, WorkerPool
 from repro.workloads.pointers import POINTER_BUGS
@@ -41,12 +41,8 @@ def _race_key(races):
 class TestOnlineTracedEquivalence:
     @pytest.mark.parametrize("seed", DIFF_SEEDS)
     def test_same_races_both_paths(self, seed):
-        from repro import config
-        if config.engine() != "predecoded":
-            pytest.skip("online detection needs the predecoded engine")
         program = build_program(seed)
         pinball = record_pinball(program, seed)
-        assert online_capable(pinball)
         traced = detect_races(pinball, program, online=False)
         online = detect_races_online(pinball, program)
         assert _race_key(traced) == _race_key(online)

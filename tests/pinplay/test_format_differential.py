@@ -12,8 +12,8 @@ is on the hot path.  The two must agree on:
   under both engines;
 * slice results — byte-identical JSON renderings — under all three
   slice indexes (``ddg``, ``columnar``, ``rows``);
-* the fast always-on record path vs the classic per-event LoggerTool
-  (forcing the classic path by attaching a do-nothing tool);
+* the recorder on the batched loop vs the same recorder on the
+  per-step loop (forced by attaching an instruction-event tool);
 * debugger ``seek`` over embedded checkpoints, including the boundary
   cases (target exactly on a checkpoint, and one step past one),
   against a serial replay of the same prefix.
@@ -115,16 +115,24 @@ def test_slices_byte_identical_across_indexes_on_v2(seed):
     assert renders["ddg"] == renders["columnar"] == renders["rows"]
 
 
+class _EventSink(Tool):
+    """Takes every instruction event, which keeps a run per-step."""
+
+    wants_instr_events = True
+    retains_instr_events = False
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fast_recorder_matches_classic_logger(seed):
-    """The untraced fast record path produces the same pinball as the
-    classic per-event LoggerTool path (forced by attaching a tool)."""
+    """The recorder on the batched loop writes the same pinball as on
+    the per-step loop (forced by attaching an instruction-event tool)."""
     program = build_program(seed)
     fast = record_pinball(program, seed, pinball_format="v2",
                           checkpoint_interval=INTERVAL)
     classic = record_region(program, scheduler_for(seed), RegionSpec(),
                             inputs=inputs_for(seed), rand_seed=seed,
-                            extra_tools=(Tool(),), pinball_format="v2",
+                            extra_tools=(_EventSink(),),
+                            pinball_format="v2",
                             checkpoint_interval=INTERVAL)
     assert fast.schedule == classic.schedule
     assert fast.syscalls == classic.syscalls

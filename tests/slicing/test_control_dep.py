@@ -1,12 +1,15 @@
 """Tests for dynamic control-dependence detection (the Xin-Zhang walk)."""
 
+import random
+
 import pytest
 
 from repro.lang import compile_source
 from repro.pinplay import RegionSpec, record_region, replay
-from repro.slicing import SliceOptions, TraceCollector
+from repro.slicing import SliceOptions, SlicingSession, TraceCollector
 from repro.slicing.control_dep import ControlDepWalk
 from repro.vm import RoundRobinScheduler
+from repro.vm.hooks import Tool
 
 from tests.slicing.test_control_dep_oracle import (
     ENGINES, kernels, record_kernel, replay_with_reference, slice_pinballs)
@@ -215,3 +218,44 @@ def test_simulated_frame_ids_follow_exclusion_skips(engine):
                          for program, slice_pinball
                          in slice_pinballs(engine))
     assert skipped_frames > 0
+
+
+class _FrameStackProbe(Tool):
+    """Notes each retire after which its thread's stack holds one frame
+    id twice."""
+
+    wants_instr_events = True
+    retains_instr_events = False
+
+    def on_start(self, machine):
+        self.machine = machine
+        self.duplicates = []
+
+    def on_instr(self, event):
+        ids = [f.frame_id for f in self.machine.threads[event.tid].frames]
+        if len(set(ids)) != len(ids):
+            self.duplicates.append((event.tid, event.tindex))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_calls_after_exclusion_skips_take_fresh_frame_ids(engine):
+    """A skip installs the recorded run's frames; a kept call after it
+    must not reuse an id still on the stack (some tree_sum slices here
+    keep such a call), and the walk's simulated ids follow.  The walk
+    raises its next id at a frame reset as the skip does;
+    ``test_control_dep_oracle``'s slice pinballs pin that half."""
+    rng = random.Random(11)
+    for _name, program in kernels():
+        pinball = record_kernel(program)
+        session = SlicingSession(pinball, program, engine=engine)
+        store = session.collector.store
+        for tid in store.threads():
+            for _ in range(4):
+                criterion = (tid, rng.randrange(store.thread_length(tid)))
+                slice_pinball = session.make_slice_pinball(
+                    session.slice_for(criterion))
+                probe = _FrameStackProbe()
+                replay(slice_pinball, program, tools=[probe], verify=False,
+                       engine=engine)
+                assert probe.duplicates == [], criterion
+                compare_frames(program, slice_pinball, engine)
